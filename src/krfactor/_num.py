@@ -21,6 +21,14 @@ def ffloor(x: float) -> int:
     return math.floor(round(x, _DUST))
 
 
+def mask_of(ids) -> int:
+    """The bitmask with bit v set for every v in `ids`."""
+    m = 0
+    for v in ids:
+        m |= 1 << v
+    return m
+
+
 def bit_indices(mask: int):
     """Yield the set-bit positions of a nonnegative int, ascending."""
     while mask:

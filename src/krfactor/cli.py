@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 from .bounds import TailBoundInput, chernoff_bound, janson_lambda_delta, janson_lower_bound
@@ -333,7 +334,7 @@ def cmd_janson_report(args) -> int:
             total += sum(
                 1
                 for K in family
-                if all(gp.has_edge(a, b) for a, b in _pairs(K))
+                if all(gp.has_edge(a, b) for a, b in combinations(K, 2))
             )
         monte_carlo = {"trials": args.mc_trials, "mean": total / args.mc_trials}
     payload = {
@@ -351,40 +352,42 @@ def cmd_janson_report(args) -> int:
     return 0
 
 
-def _pairs(K):
-    for a_pos in range(len(K)):
-        for b_pos in range(a_pos + 1, len(K)):
-            yield K[a_pos], K[b_pos]
+def _gen_instance(args, seed, needs: str):
+    """Planted pipeline instance from the shape flags; `needs` prefixes the
+    list of missing flags in the error."""
+    missing = [
+        flag
+        for flag, val in (
+            ("--r", args.r),
+            ("--k", args.k),
+            ("--cluster-size", args.cluster_size),
+            ("--d", args.d),
+            ("--b-size", args.b_size),
+        )
+        if val is None
+    ]
+    if missing:
+        raise FileFormatError(needs + ", ".join(missing))
+    return gen_super_regular_instance(
+        args.r,
+        args.k,
+        args.cluster_size,
+        args.d,
+        args.b_size,
+        seed,
+        b_attach=args.b_attach,
+        gamma=args.gamma,
+    )
 
 
 def cmd_pipeline_run(args) -> int:
     if args.instance is not None:
         inst = read_instance(args.instance)
     else:
-        missing = [
-            flag
-            for flag, val in (
-                ("--r", args.r),
-                ("--k", args.k),
-                ("--cluster-size", args.cluster_size),
-                ("--d", args.d),
-                ("--b-size", args.b_size),
-            )
-            if val is None
-        ]
-        if missing:
-            raise FileFormatError(
-                "pipeline-run needs --instance or all of " + ", ".join(missing)
-            )
-        inst = gen_super_regular_instance(
-            args.r,
-            args.k,
-            args.cluster_size,
-            args.d,
-            args.b_size,
+        inst = _gen_instance(
+            args,
             RandomSeed(args.seed).substream(999),
-            b_attach=args.b_attach,
-            gamma=args.gamma,
+            "pipeline-run needs --instance or all of ",
         )
     report = run_pipeline(inst, args.p, args.seed, alpha=args.alpha, mu=args.mu)
     _write_out(report.to_json(), args.out)
@@ -437,29 +440,7 @@ def cmd_gen(args) -> int:
         print(manifest)
         return 0
     elif args.kind == "pipeline":
-        missing = [
-            flag
-            for flag, val in (
-                ("--k", args.k),
-                ("--cluster-size", args.cluster_size),
-                ("--d", args.d),
-                ("--b-size", args.b_size),
-            )
-            if val is None
-        ]
-        if missing:
-            raise FileFormatError("gen --kind pipeline needs " + ", ".join(missing))
-        inst = gen_super_regular_instance(
-            args.r,
-            args.k,
-            args.cluster_size,
-            args.d,
-            args.b_size,
-            seed,
-            b_attach=args.b_attach,
-            gamma=args.gamma,
-        )
-        write_instance(inst, args.out)
+        write_instance(_gen_instance(args, seed, "gen --kind pipeline needs "), args.out)
     else:  # pragma: no cover - argparse restricts choices
         raise FileFormatError(f"unknown kind {args.kind}")
     print(args.out)

@@ -36,6 +36,20 @@ def _clique_stream(g: PartiteGraph, allowed):
     return rec(0, (1 << g.vertex_count) - 1)
 
 
+def check_clique(g: PartiteGraph, K) -> None:
+    """Raise ValueError unless K is a transversal clique of g in part order."""
+    if len(K) != g.r:
+        raise ValueError(f"clique {K}: expected {g.r} vertices")
+    for slot, v in enumerate(K):
+        if not 0 <= v < g.vertex_count:
+            raise ValueError(f"clique {K}: vertex {v} out of range")
+        if g.part_of(v) != slot:
+            raise ValueError(f"clique {K}: not one vertex per part in order")
+    for a, b in combinations(K, 2):
+        if not g.has_edge(a, b):
+            raise ValueError(f"clique {K}: missing edge ({a}, {b})")
+
+
 @dataclass(frozen=True)
 class CliqueFamily:
     """An ordered, duplicate-free collection of transversal cliques of `host`."""
@@ -48,16 +62,7 @@ class CliqueFamily:
         g = self.host
         seen = set()
         for K in self.cliques:
-            if len(K) != g.r:
-                raise ValueError(f"clique {K}: expected {g.r} vertices")
-            for slot, v in enumerate(K):
-                if not 0 <= v < g.vertex_count:
-                    raise ValueError(f"clique {K}: vertex {v} out of range")
-                if g.part_of(v) != slot:
-                    raise ValueError(f"clique {K}: not one vertex per part in order")
-            for a, b in combinations(K, 2):
-                if not g.has_edge(a, b):
-                    raise ValueError(f"clique {K}: missing edge ({a}, {b})")
+            check_clique(g, K)
             if K in seen:
                 raise ValueError(f"duplicate clique {K}")
             seen.add(K)

@@ -31,7 +31,7 @@ class CoverError(PipelineStageError):
 
 
 class BalanceError(PipelineStageError):
-    """The weight-balancing blow-up has no factor (or is structurally impossible)."""
+    """No nonnegative integer clique weights realize lambda on the reduced graph."""
 
     stage = "balance_weights"
 

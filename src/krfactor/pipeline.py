@@ -12,10 +12,11 @@ search on a third sparsification. The union is verified against the host.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from ._num import bit_indices, ffloor
+from ._num import ffloor, mask_of
 from .cliques import _clique_stream
 from .errors import BalanceError, BalanceTuplesError, BudgetExceededError, CoverError
 from .graphs import PartiteGraph, min_star_degree, split_rounds, sparsify
@@ -24,7 +25,6 @@ from .rng import as_seed, randbelow
 from .solver import (
     DEFAULT_ROW_BUDGET,
     Tiling,
-    find_factor,
     solve_restricted,
     verify_factor,
 )
@@ -54,13 +54,6 @@ class _EdgeReveal:
 
     def clique_alive(self, K) -> bool:
         return all(self.edge_alive(a, b) for a, b in combinations(K, 2))
-
-
-def _mask_of(ids) -> int:
-    m = 0
-    for v in ids:
-        m |= 1 << v
-    return m
 
 
 @dataclass(frozen=True)
@@ -109,9 +102,9 @@ def cover_exceptional(
     qmasks = []
     qsizes = []
     taken = 0
-    root_mask = _mask_of(roots)
+    root_mask = mask_of(roots)
     for s, xs in enumerate(quotas):
-        m = _mask_of(int(v) for v in xs)
+        m = mask_of(int(v) for v in xs)
         if m & root_mask:
             raise ValueError(f"quota set {s} contains a root")
         if m & taken:
@@ -152,7 +145,7 @@ def cover_exceptional(
         if len(cand) < cap:
             warnings.append(f"root {v}: only {len(cand)} candidates (cap {cap})")
         blocked = used | suffix[idx + 1] | saturated
-        survivors = [K for K in cand if not _mask_of(K) & blocked]
+        survivors = [K for K in cand if not mask_of(K) & blocked]
         pick = None
         for K in survivors:
             if reveal.clique_alive(K):
@@ -161,7 +154,7 @@ def cover_exceptional(
         if pick is None:
             raise CoverError(v, len(survivors))
         chosen.append(pick)
-        km = _mask_of(pick)
+        km = mask_of(pick)
         used |= km
         for s, qm in enumerate(qmasks):
             inc = (km & qm).bit_count()
@@ -204,6 +197,60 @@ class WeightAssignment:
             raise ValueError("omega does not realize lam")
 
 
+def _realize(reduced: PartiteGraph, lam, max_rows: int):
+    """Cliques, with repeats, covering each reduced vertex v exactly lam[v] times.
+
+    Exhaustive depth-first search over the residual lam vector: each step
+    covers the lowest vertex with residual left (a part-0 vertex, as part sums
+    are equal) by the next clique, in lexicographic order, whose vertices all
+    have residual left. Residual vectors shown to fail are remembered, so no
+    state is searched twice; more than `max_rows` of them raise
+    BudgetExceededError. Returns None when no such multiset exists.
+    """
+    at: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(reduced.n)]
+    for K in _clique_stream(reduced, [reduced.part_mask(i) for i in range(reduced.r)]):
+        at[K[0]].append((K, mask_of(K)))
+    left = list(lam)
+    dead = mask_of(v for v, x in enumerate(left) if not x)  # vertices with no lam left
+    failed: set[tuple[int, ...]] = set()
+    path: list[tuple[tuple[int, ...], int]] = []
+    nxt = [0]  # nxt[d]: index of the next clique to try at depth d
+    while nxt:
+        live = reduced.part_mask(0) & ~dead
+        if not live:
+            return [K for K, _ in path]
+        v = (live & -live).bit_length() - 1
+        for i in range(nxt[-1], len(at[v])):
+            K, m = at[v][i]
+            if not m & dead:
+                for u in K:
+                    left[u] -= 1
+                    if not left[u]:
+                        dead |= 1 << u
+                if tuple(left) not in failed:
+                    break
+                for u in K:
+                    left[u] += 1
+                dead &= ~m
+        else:
+            failed.add(tuple(left))
+            if len(failed) > max_rows:
+                raise BudgetExceededError(
+                    f"weight search remembered more than {max_rows} failed states"
+                )
+            nxt.pop()
+            if path:
+                K, m = path.pop()
+                for u in K:
+                    left[u] += 1
+                dead &= ~m
+            continue
+        nxt[-1] = i + 1
+        nxt.append(0)
+        path.append((K, m))
+    return None
+
+
 def balance_weights(
     reduced: PartiteGraph,
     lam,
@@ -213,11 +260,12 @@ def balance_weights(
 ) -> WeightAssignment:
     """Clique weights on the reduced graph meeting per-vertex totals `lam`.
 
-    Builds the blow-up with lam(v) copies of each vertex and projects one of
-    its factors down. Hypothesis diagnostics (lambda within (1 ± gamma/4) of
-    the mean, reduced min star degree) are recorded in `checks` and included
-    in the failure message, but only structural impossibilities and a failed
-    blow-up search raise.
+    Searches the weights directly on the reduced graph (see `_realize`), so a
+    BalanceError for the search means no such weights exist; a search past
+    `max_rows` remembered failures raises BudgetExceededError. Hypothesis
+    diagnostics (lambda within (1 ± gamma/4) of the mean, reduced min star
+    degree) are recorded in `checks` and included in the failure message, but
+    only unequal part sums and a failed search raise.
     """
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
@@ -242,37 +290,10 @@ def balance_weights(
     }
     if not checks["part_sums_equal"]:
         raise BalanceError(f"lambda part sums differ: {part_sums}", checks)
-    big_n = part_sums[0]
-    if big_n == 0:
-        return WeightAssignment(reduced, tuple(lam), {}, checks)
-    # blow-up: lam(v) fresh copies of v, blocks joined iff the originals are
-    starts = [0] * reduced.vertex_count
-    owner = [0] * (reduced.r * big_n)
-    pos = 0
-    for i in range(reduced.r):
-        pos = i * big_n
-        for v in range(i * k, (i + 1) * k):
-            starts[v] = pos
-            for _ in range(lam[v]):
-                owner[pos] = v
-                pos += 1
-    block_mask = [((1 << lam[v]) - 1) << starts[v] for v in range(reduced.vertex_count)]
-    nbr_mask = [0] * reduced.vertex_count
-    for v in range(reduced.vertex_count):
-        m = 0
-        for u in bit_indices(reduced.adj[v]):
-            m |= block_mask[u]
-        nbr_mask[v] = m
-    masks = [nbr_mask[owner[u]] for u in range(reduced.r * big_n)]
-    blowup = PartiteGraph.from_masks(reduced.r, big_n, masks)
-    factor = find_factor(blowup, max_rows=max_rows)
-    if factor is None:
-        raise BalanceError("the weight blow-up has no factor", checks)
-    omega: dict[tuple[int, ...], int] = {}
-    for K in factor.cliques:
-        key = tuple(owner[u] for u in K)
-        omega[key] = omega.get(key, 0) + 1
-    return WeightAssignment(reduced, tuple(lam), omega, checks)
+    cliques = _realize(reduced, lam, max_rows)
+    if cliques is None:
+        raise BalanceError("no weights: the lambda blow-up has no factor", checks)
+    return WeightAssignment(reduced, tuple(lam), dict(Counter(cliques)), checks)
 
 
 def balance_tuples(
@@ -321,7 +342,7 @@ def balance_tuples(
                     f"cluster ({i},{c}): {len(cl)} vertices minus {need} picks "
                     f"leaves {len(cl) - need}, not the target {target}"
                 )
-            pool = _mask_of(cl) & rmask
+            pool = mask_of(cl) & rmask
             if pool.bit_count() < need:
                 raise BalanceTuplesError(
                     f"cluster ({i},{c}): reserve pool {pool.bit_count()} "
@@ -344,7 +365,7 @@ def balance_tuples(
         return out
 
     def exact_pick(cand, need):
-        cmasks = [_mask_of(cl) for cl in cand]
+        cmasks = [mask_of(cl) for cl in cand]
 
         def bt(start, left, blocked):
             if left == 0:
@@ -372,7 +393,7 @@ def balance_tuples(
                 break
             cl = cand[randbelow(gen, len(cand))]
             picks.append(cl)
-            used |= _mask_of(cl)
+            used |= mask_of(cl)
         if picks is None:
             used = used_before
             fallback = exact_pick(candidates(K, used), need)
@@ -383,7 +404,7 @@ def balance_tuples(
                 )
             picks = fallback
             for cl in picks:
-                used |= _mask_of(cl)
+                used |= mask_of(cl)
         chosen.extend(picks)
     for rv, need in implied.items():
         got = (used & avail[rv]).bit_count()
@@ -530,10 +551,7 @@ def run_pipeline(
         for attempt in range(w_retries):
             gen = base.substream(0).substream(attempt).generator()
             coins = gen.random(len(eligible)) < 0.5
-            m = 0
-            for keep, v in zip(coins, eligible):
-                if keep:
-                    m |= 1 << v
+            m = mask_of(v for keep, v in zip(coins, eligible) if keep)
             ok, diag = _reserve_conditions(instance, m, alpha)
             last_diag = diag
             if ok:

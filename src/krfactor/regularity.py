@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._num import bit_indices, fceil
+from ._num import bit_indices, fceil, mask_of
 from .errors import FileFormatError
 from .graphs import PartiteGraph
 from .rng import RandomSeed, as_seed
@@ -41,13 +41,6 @@ class RegularityParams:
             raise ValueError("gamma must lie in (0, 1]")
         if self.k < 1:
             raise ValueError("k must be positive")
-
-
-def _mask_of(ids) -> int:
-    m = 0
-    for v in ids:
-        m |= 1 << v
-    return m
 
 
 @dataclass(frozen=True)
@@ -107,13 +100,13 @@ class PartitionedInstance:
         return self.clusters[i][c]
 
     def cluster_mask(self, i: int, c: int) -> int:
-        return _mask_of(self.clusters[i][c])
+        return mask_of(self.clusters[i][c])
 
     def exceptional_mask(self) -> int:
-        return _mask_of(self.exceptional)
+        return mask_of(self.exceptional)
 
     def reserved_mask(self) -> int:
-        return _mask_of(self.reserved or ())
+        return mask_of(self.reserved or ())
 
 
 def gen_super_regular_instance(
@@ -343,7 +336,7 @@ def super_regularize(
             if g.part_of(v) != i:
                 raise ValueError(f"cluster {i}: vertex {v} outside part {i}")
     keep = fceil((1 - (g.r - 1) * epsilon) * size)
-    cmasks = [_mask_of(cl) for cl in clusters]
+    cmasks = [mask_of(cl) for cl in clusters]
     threshold = (d - epsilon) * size
     good: list[list[int]] = []
     for i, cl in enumerate(clusters):
@@ -375,7 +368,7 @@ def super_regularize(
         kept.append(chosen)
         removed.append(tuple(v for v in clusters[i] if v not in set(chosen)))
     floor = (d - g.r * epsilon) * keep
-    new_masks = [_mask_of(cl) for cl in kept]
+    new_masks = [mask_of(cl) for cl in kept]
     for i in range(g.r):
         for j in range(g.r):
             if i == j:
@@ -513,7 +506,7 @@ def residual_instance(
     covered = 0
     for part in clusters:
         for cl in part:
-            covered |= _mask_of(cl)
+            covered |= mask_of(cl)
     exceptional = tuple(
         v for v in range(inst.host.vertex_count) if not (covered >> v) & 1
     )

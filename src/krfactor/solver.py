@@ -12,34 +12,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from ._num import bit_indices
-from .cliques import _clique_stream
+from ._num import bit_indices, mask_of
+from .cliques import _clique_stream, check_clique
 from .errors import BudgetExceededError, FileFormatError
 from .exact_cover import ExactCover
 from .graphs import PartiteGraph
 from .rng import RandomSeed, as_seed, randbelow
 
 DEFAULT_ROW_BUDGET = 5_000_000
-
-
-def _validate_clique(g: PartiteGraph, K):
-    if len(K) != g.r:
-        raise ValueError(f"clique {K}: expected {g.r} vertices")
-    for slot, v in enumerate(K):
-        if not 0 <= v < g.vertex_count:
-            raise ValueError(f"clique {K}: vertex {v} out of range")
-        if g.part_of(v) != slot:
-            raise ValueError(f"clique {K}: not one vertex per part in order")
-    for a, b in combinations(K, 2):
-        if not g.has_edge(a, b):
-            raise ValueError(f"clique {K}: missing edge ({a}, {b})")
-
-
-def _clique_mask(K) -> int:
-    m = 0
-    for v in K:
-        m |= 1 << v
-    return m
 
 
 @dataclass(frozen=True)
@@ -53,8 +33,8 @@ class Tiling:
         object.__setattr__(self, "cliques", tuple(tuple(K) for K in self.cliques))
         covered = 0
         for K in self.cliques:
-            _validate_clique(self.host, K)
-            m = _clique_mask(K)
+            check_clique(self.host, K)
+            m = mask_of(K)
             if covered & m:
                 raise ValueError(f"clique {K} overlaps another clique")
             covered |= m
@@ -130,7 +110,7 @@ def _build_cover(g: PartiteGraph, allowed, max_rows: int):
         target |= m
     covered = 0
     for K in rows:
-        covered |= _clique_mask(K)
+        covered |= mask_of(K)
     if covered != target:
         return None
     col_of = {v: idx for idx, v in enumerate(bit_indices(target))}
@@ -142,6 +122,21 @@ def _build_cover(g: PartiteGraph, allowed, max_rows: int):
     return dlx, rows
 
 
+def _first_cover(g: PartiteGraph, allowed, max_rows: int):
+    """Greedy cover, else the first exact cover; sorted cliques or None."""
+    greedy = _greedy_cover(g, allowed)
+    if greedy is not None:
+        return tuple(sorted(greedy))
+    built = _build_cover(g, allowed, max_rows)
+    if built is None:
+        return None
+    dlx, rows = built
+    sol = dlx.first_solution()
+    if sol is None:
+        return None
+    return tuple(sorted(rows[i] for i in sol))
+
+
 def find_factor(g: PartiteGraph, *, max_rows: int = DEFAULT_ROW_BUDGET):
     """First clique factor of g, or None if none exists.
 
@@ -149,17 +144,8 @@ def find_factor(g: PartiteGraph, *, max_rows: int = DEFAULT_ROW_BUDGET):
     exact-cover search (branching on the most constrained vertex) decides,
     so a None answer is certified by complete search.
     """
-    greedy = _greedy_cover(g, _full_allowed(g))
-    if greedy is not None:
-        return Factor(g, tuple(sorted(greedy)))
-    built = _build_cover(g, _full_allowed(g), max_rows)
-    if built is None:
-        return None
-    dlx, rows = built
-    sol = dlx.first_solution()
-    if sol is None:
-        return None
-    return Factor(g, tuple(sorted(rows[i] for i in sol)))
+    sol = _first_cover(g, _full_allowed(g), max_rows)
+    return None if sol is None else Factor(g, sol)
 
 
 def solve_restricted(g: PartiteGraph, allowed, *, max_rows: int = DEFAULT_ROW_BUDGET):
@@ -174,17 +160,7 @@ def solve_restricted(g: PartiteGraph, allowed, *, max_rows: int = DEFAULT_ROW_BU
             raise ValueError(f"allowed[{i}] leaves part {i}")
     if all(m == 0 for m in allowed):
         return ()
-    greedy = _greedy_cover(g, allowed)
-    if greedy is not None:
-        return tuple(sorted(greedy))
-    built = _build_cover(g, list(allowed), max_rows)
-    if built is None:
-        return None
-    dlx, rows = built
-    sol = dlx.first_solution()
-    if sol is None:
-        return None
-    return tuple(sorted(rows[i] for i in sol))
+    return _first_cover(g, list(allowed), max_rows)
 
 
 def count_factors(g: PartiteGraph, *, max_rows: int = DEFAULT_ROW_BUDGET) -> int:
@@ -204,7 +180,7 @@ def max_tiling(g: PartiteGraph, *, max_rows: int = DEFAULT_ROW_BUDGET) -> Tiling
     """
     rows = _clique_rows(g, _full_allowed(g), max_rows)
     universe = (1 << g.vertex_count) - 1
-    masks = [_clique_mask(K) for K in rows]
+    masks = [mask_of(K) for K in rows]
     by_vertex: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for idx, K in enumerate(rows):
         for v in K:
@@ -253,7 +229,7 @@ def sample_factor_uniform(
     rows = _clique_rows(g, _full_allowed(g), max_rows)
     by_vertex: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(g.vertex_count)]
     for K in rows:
-        m = _clique_mask(K)
+        m = mask_of(K)
         for v in K:
             by_vertex[v].append((m, K))
     memo = {0: 1}

@@ -36,6 +36,41 @@ def brute_has_factor(g) -> bool:
     return rec(frozenset())
 
 
+class _PlainPartite:
+    """Balanced r-partite graph on parts of size n, edges as a set of pairs."""
+
+    def __init__(self, r, n, edges):
+        self.r, self.n, self.vertex_count = r, n, r * n
+        self.edges = edges
+
+    def part_range(self, i):
+        return range(i * self.n, (i + 1) * self.n)
+
+    def has_edge(self, a, b):
+        return (min(a, b), max(a, b)) in self.edges
+
+
+def brute_weights_exist(reduced, lam) -> bool:
+    """Do nonnegative integer clique weights with sum_{K ∋ v} w(K) = lam[v] exist?
+
+    Builds the lam blow-up (lam[v] copies of v, copies joined iff the
+    originals are) with plain loops and asks brute_has_factor.
+    """
+    r, k = reduced.r, reduced.n
+    sums = {sum(lam[i * k : (i + 1) * k]) for i in range(r)}
+    if len(sums) != 1:
+        return False
+    owner = []
+    for v in range(r * k):
+        owner.extend([v] * lam[v])
+    edges = set()
+    for a in range(len(owner)):
+        for b in range(a + 1, len(owner)):
+            if owner[a] // k != owner[b] // k and reduced.has_edge(owner[a], owner[b]):
+                edges.add((a, b))
+    return brute_has_factor(_PlainPartite(r, sums.pop(), edges))
+
+
 def brute_count_factors(g) -> int:
     """Exact factor count; each factor is counted once because the recursion
     always extends the lowest uncovered vertex."""

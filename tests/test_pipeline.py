@@ -20,6 +20,7 @@ from krfactor import (
     verify_factor,
 )
 from krfactor.pipeline import WeightAssignment
+from oracles import brute_weights_exist
 
 
 def _full_part_instance(r, n, *, epsilon=0.1, d=0.5, gamma=0.5, reserved=None):
@@ -167,6 +168,50 @@ class TestBalanceWeights:
         reduced = PartiteGraph(2, 1)
         with pytest.raises(BalanceError, match="no factor"):
             balance_weights(reduced, [1, 1], 1.0)
+
+    def test_no_instance_past_budget(self):
+        reduced = PartiteGraph(2, 1)
+        with pytest.raises(BudgetExceededError):
+            balance_weights(reduced, [1, 1], 1.0, max_rows=0)
+
+    def test_deep_search_has_no_recursion_limit(self):
+        res = balance_weights(PartiteGraph.complete(2, 1), [3000, 3000], 1.0)
+        assert res.omega == {(0, 1): 3000}
+
+    def test_matches_blowup_oracle(self):
+        import random
+
+        rng = random.Random(11)
+        answers = []
+        for _ in range(300):
+            r, k = rng.choice([2, 3]), rng.randint(1, 2)
+            edges = [
+                (u, v)
+                for u in range(r * k)
+                for v in range(u + 1, r * k)
+                if u // k != v // k and rng.random() < 0.7
+            ]
+            reduced = PartiteGraph(r, k, edges)
+            head = [rng.randint(0, 2) for _ in range(k)]
+            head[rng.randrange(k)] = rng.randint(1, 2)
+            lam = list(head)
+            for _ in range(r - 1):
+                while True:
+                    part = [rng.randint(0, 2) for _ in range(k)]
+                    if sum(part) == sum(head):
+                        break
+                lam.extend(part)
+            exists = brute_weights_exist(reduced, lam)
+            answers.append(exists)
+            if not exists:
+                with pytest.raises(BalanceError, match="no factor"):
+                    balance_weights(reduced, lam, 1.0)
+                continue
+            res = balance_weights(reduced, lam, 1.0)
+            for v in range(r * k):
+                assert sum(w for K, w in res.omega.items() if v in K) == lam[v]
+        assert answers.count(False) >= len(answers) // 5
+        assert answers.count(True) >= len(answers) // 5
 
     def test_all_zero_targets(self):
         reduced = PartiteGraph.complete(2, 2)
