@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
-from itertools import combinations
+from contextlib import contextmanager
+from itertools import combinations, product
 from pathlib import Path
 
 from .bounds import TailBoundInput, chernoff_bound, janson_lambda_delta, janson_lower_bound
@@ -46,7 +48,7 @@ from .transversal import (
     write_family,
 )
 
-SWEEP_HEADER = "mode,r,n,gamma,C,p,trials,successes,success_rate,seed,wall_ms"
+SWEEP_HEADER = "mode,r,n,gamma,C,p,trials,successes,success_rate,seed,wall_ms,skipped"
 _ROW_FIELDS = SWEEP_HEADER.split(",")
 
 
@@ -127,21 +129,30 @@ def _transversal_trial(task) -> bool | None:
 _TRIALS = {"threshold": _threshold_trial, "transversal": _transversal_trial}
 
 
-def _run_points(fn, tasks, workers: int):
-    if workers > 1:
-        import multiprocessing as mp
+@contextmanager
+def _trial_map(workers: int):
+    """One `map(fn, tasks)` for a whole sweep: in-process, or one worker pool."""
+    if workers == 1:
+        yield lambda fn, tasks: [fn(t) for t in tasks]
+        return
+    import multiprocessing as mp
 
-        with mp.Pool(workers) as pool:
-            return pool.map(fn, tasks)
-    return [fn(t) for t in tasks]
+    with mp.Pool(workers) as pool:
+        yield pool.map
 
 
 def _run_sweep(mode: str, args) -> tuple[dict, list[dict]]:
     if args.trials < 1:
         raise FileFormatError("--trials must be positive")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise FileFormatError(f"--workers must be in 1..{cpus}")
     n_list = _parse_ints(args.n, "n")
     if args.p_grid is not None:
         grid_kind, grid = "p", _parse_floats(args.p_grid, "p grid")
+        for p in grid:
+            if not 0.0 <= p <= 1.0:
+                raise FileFormatError(f"p={p} outside [0, 1]")
     else:
         grid_kind, grid = "C", _parse_floats(args.c_grid, "C grid")
     config = {
@@ -158,23 +169,20 @@ def _run_sweep(mode: str, args) -> tuple[dict, list[dict]]:
     }
     trial_fn = _TRIALS[mode]
     rows = []
-    point = 0
-    for n in n_list:
-        for gval in grid:
+    with _trial_map(args.workers) as run_trials:
+        for point, (n, gval) in enumerate(product(n_list, grid)):
             if grid_kind == "C":
                 p, _ = threshold_p(ThresholdParams(args.r, n, gval))
                 c_val = gval
             else:
                 p, c_val = gval, None
-                if not 0.0 <= p <= 1.0:
-                    raise FileFormatError(f"p={p} outside [0, 1]")
             tasks = [
                 (args.r, n, args.gamma, args.edge_keep, p)
                 + _trial_seed(args.seed, point, t)
                 for t in range(args.trials)
             ]
             started = time.monotonic()
-            results = _run_points(trial_fn, tasks, args.workers)
+            results = run_trials(trial_fn, tasks)
             wall = int((time.monotonic() - started) * 1000) if args.timing else 0
             skipped = sum(1 for x in results if x is None)
             if skipped:
@@ -197,9 +205,9 @@ def _run_sweep(mode: str, args) -> tuple[dict, list[dict]]:
                     "success_rate": successes / completed if completed else 0.0,
                     "seed": args.seed,
                     "wall_ms": wall,
+                    "skipped": skipped,
                 }
             )
-            point += 1
     return config, rows
 
 
@@ -466,7 +474,7 @@ def _add_sweep_args(sp, mode: str):
     grid.add_argument("--p-grid", default=None, help="comma-separated raw p values")
     sp.add_argument("--trials", type=int, default=200, help="trials per grid point")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1, help="worker processes")
+    sp.add_argument("--workers", type=int, default=1, help="worker processes, 1..CPU count")
     sp.add_argument("--timing", action="store_true", help="record real wall_ms")
     sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--format", choices=("csv", "json", "svg"), default="csv")

@@ -1,133 +1,81 @@
-"""Exact cover via dancing links (Algorithm X).
+"""Exact cover by Algorithm X over plain arrays, with an explicit stack.
 
 Columns are integers 0..n_cols-1; rows are added as iterables of column ids
-and identified by an opaque row id. The search branches on a column with the
-fewest remaining rows (leftmost breaks ties) and tries rows in insertion
-order, so the solution stream is deterministic.
+and identified by an opaque row id. The engine keeps, per row, its column
+list and, per column, its rows in insertion order. A search keeps a live flag
+per row, a live-row count per column and one frame per depth: the candidate
+rows, the next one to try and the rows that the current choice removed. Depth
+is bounded by memory, not by Python's recursion limit.
+
+Ordering contract (every caller relies on it for reproducible output): each
+step branches on the open column with the fewest live rows, taking the
+leftmost on ties; a branch stops at once when that column has no live rows;
+the column's live rows are tried in insertion order.
 """
 
 from __future__ import annotations
-
-
-class _Node:
-    __slots__ = ("left", "right", "up", "down", "col", "row_id")
-
-
-class _Column(_Node):
-    __slots__ = ("size", "id")
 
 
 class ExactCover:
     def __init__(self, n_cols: int):
         if n_cols < 0:
             raise ValueError("n_cols must be nonnegative")
-        root = _Column()
-        root.left = root.right = root.up = root.down = root
-        root.size = 0
-        root.id = -1
-        self.root = root
-        self.cols = []
-        prev = root
-        for c in range(n_cols):
-            col = _Column()
-            col.id = c
-            col.size = 0
-            col.up = col.down = col
-            col.left = prev
-            col.right = root
-            prev.right = col
-            root.left = col
-            self.cols.append(col)
-            prev = col
-        self.row_count = 0
+        self.col_rows: list[list[int]] = [[] for _ in range(n_cols)]
+        self.row_cols: list[list[int]] = []
+        self.row_ids: list = []
 
     def add_row(self, row_id, col_ids) -> None:
-        first = None
-        for c in col_ids:
-            col = self.cols[c]
-            node = _Node()
-            node.col = col
-            node.row_id = row_id
-            node.down = col
-            node.up = col.up
-            col.up.down = node
-            col.up = node
-            col.size += 1
-            if first is None:
-                first = node
-                node.left = node.right = node
-            else:
-                node.left = first.left
-                node.right = first
-                first.left.right = node
-                first.left = node
-        if first is None:
+        cols = list(col_ids)
+        if not cols:
             raise ValueError("rows must touch at least one column")
-        self.row_count += 1
-
-    @staticmethod
-    def _cover(col):
-        col.right.left = col.left
-        col.left.right = col.right
-        i = col.down
-        while i is not col:
-            j = i.right
-            while j is not i:
-                j.down.up = j.up
-                j.up.down = j.down
-                j.col.size -= 1
-                j = j.right
-            i = i.down
-
-    @staticmethod
-    def _uncover(col):
-        i = col.up
-        while i is not col:
-            j = i.left
-            while j is not i:
-                j.col.size += 1
-                j.down.up = j
-                j.up.down = j
-                j = j.left
-            i = i.up
-        col.right.left = col
-        col.left.right = col
+        row = len(self.row_cols)
+        for c in cols:
+            self.col_rows[c].append(row)
+        self.row_cols.append(cols)
+        self.row_ids.append(row_id)
 
     def solutions(self):
-        """Yield every exact cover as a tuple of row ids."""
-        root = self.root
-        stack: list = []
-
-        def search():
-            if root.right is root:
-                yield tuple(stack)
+        """Yield every exact cover as a tuple of row ids, in the order above."""
+        col_rows, row_cols = self.col_rows, self.row_cols
+        covered = len(row_cols) + 1
+        # A covered column carries `covered` on top of its live-row count, so
+        # min() finds the smallest open column; the extra entry keeps it defined.
+        size = [len(rows) for rows in col_rows] + [covered]
+        live = [True] * len(row_cols)
+        stack: list[list] = []  # per depth: [candidates, next index, removed rows]
+        while True:
+            low = min(size)
+            if low >= covered:
+                yield tuple(self.row_ids[cands[k - 1]] for cands, k, _ in stack)
+            elif low:
+                best = size.index(low)
+                stack.append([[i for i in col_rows[best] if live[i]], 0, []])
+            while stack:
+                frame = stack[-1]
+                cands, k, removed = frame
+                for i in removed:
+                    live[i] = True
+                    for c in row_cols[i]:
+                        size[c] += 1
+                if k:
+                    for c in row_cols[cands[k - 1]]:
+                        size[c] -= covered
+                if k == len(cands):
+                    stack.pop()
+                    continue
+                removed = []
+                for c in row_cols[cands[k]]:
+                    size[c] += covered
+                    for i in col_rows[c]:
+                        if live[i]:
+                            live[i] = False
+                            removed.append(i)
+                            for c2 in row_cols[i]:
+                                size[c2] -= 1
+                frame[1], frame[2] = k + 1, removed
+                break
+            else:
                 return
-            best = None
-            c = root.right
-            while c is not root:
-                if best is None or c.size < best.size:
-                    best = c
-                    if best.size == 0:
-                        return
-                c = c.right
-            self._cover(best)
-            i = best.down
-            while i is not best:
-                stack.append(i.row_id)
-                j = i.right
-                while j is not i:
-                    self._cover(j.col)
-                    j = j.right
-                yield from search()
-                j = i.left
-                while j is not i:
-                    self._uncover(j.col)
-                    j = j.left
-                stack.pop()
-                i = i.down
-            self._uncover(best)
-
-        yield from search()
 
     def first_solution(self):
         for sol in self.solutions():

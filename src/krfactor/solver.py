@@ -115,7 +115,8 @@ def _build_cover(g: PartiteGraph, allowed, max_rows: int):
         return None
     col_of = {v: idx for idx, v in enumerate(bit_indices(target))}
     # near-uniform instances branch better when scarce rows come first
-    rows.sort(key=lambda K: (sum(g.degree(v) for v in K), K))
+    deg = [g.degree(v) for v in range(g.vertex_count)]
+    rows.sort(key=lambda K: (sum(deg[v] for v in K), K))
     dlx = ExactCover(len(col_of))
     for idx, K in enumerate(rows):
         dlx.add_row(idx, [col_of[v] for v in K])

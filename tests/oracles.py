@@ -178,3 +178,22 @@ def brute_regular_pair(g, X, Y, epsilon) -> bool:
 
 def pair_density(g, A, B) -> float:
     return sum(g.has_edge(a, b) for a in A for b in B) / (len(A) * len(B))
+
+
+def brute_exact_covers(n_cols, rows):
+    """Every exact cover of columns 0..n_cols-1 by `rows` (column lists), as
+    tuples of row indices, in Algorithm X order: branch on the open column
+    with the fewest usable rows, leftmost on ties, usable rows in list order.
+    A row is usable while it shares no column with a chosen row."""
+    sets = [set(cols) for cols in rows]
+
+    def rec(open_cols, usable, chosen):
+        if not open_cols:
+            yield tuple(chosen)
+            return
+        col = min(sorted(open_cols), key=lambda c: sum(c in sets[i] for i in usable))
+        for i in [i for i in usable if col in sets[i]]:
+            rest = [j for j in usable if not sets[j] & sets[i]]
+            yield from rec(open_cols - sets[i], rest, chosen + [i])
+
+    yield from rec(set(range(n_cols)), list(range(len(rows))), [])

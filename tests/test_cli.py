@@ -1,10 +1,14 @@
 """End-to-end tests of the krfactor command line, run in-process."""
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
+import krfactor.cli
 from krfactor import (
+    BudgetExceededError,
     GraphFamily,
     PartiteGraph,
     RandomSeed,
@@ -53,11 +57,12 @@ class TestThresholdSweep:
         assert len(lines) == 4
         for line in lines[2:]:
             fields = line.split(",")
-            assert len(fields) == 11
+            assert len(fields) == 12
             assert fields[0] == "threshold"
             assert fields[1] == "3" and fields[2] == "6"
             assert int(fields[7]) <= int(fields[6]) == 5
             assert fields[10] == "0"  # wall_ms stays 0 without --timing
+            assert fields[11] == "0"  # no trial skipped on budget
         config = json.loads(lines[0][len("# config "):])
         assert config["grid_kind"] == "C"
         assert config["grid"] == [0.5, 3.0]
@@ -124,6 +129,30 @@ class TestThresholdSweep:
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err.startswith("error:")
+
+    def test_workers_above_cpu_count_exit_2_before_any_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        code, out, err = run_cli(
+            self.ARGS + ["--workers", str((os.cpu_count() or 1) + 1)], capsys
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error: --workers")
+
+    def test_budget_skips_are_reported(self, capsys, monkeypatch):
+        def over_budget(g, **kwargs):
+            raise BudgetExceededError("clique row budget exceeded")
+
+        monkeypatch.setattr(krfactor.cli, "find_factor", over_budget)
+        code, out, err = run_cli(self.ARGS + ["--workers", "1", "--format", "json"], capsys)
+        assert code == 0
+        assert "5 trials skipped" in err
+        for row in json.loads(out)["rows"]:
+            assert row["skipped"] == 5
+            assert row["trials"] == 0 and row["successes"] == 0
+            assert row["success_rate"] == 0.0
 
     def test_conflicting_grids_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -11,6 +12,7 @@ from krfactor import (
     FileFormatError,
     PartiteGraph,
     RandomSeed,
+    ThresholdParams,
     Tiling,
     count_factors,
     estimate_spread,
@@ -21,6 +23,7 @@ from krfactor import (
     sample_factor_uniform,
     solve_restricted,
     sparsify,
+    threshold_p,
     verify_factor,
     write_factor_certificate,
 )
@@ -86,6 +89,20 @@ class TestFindFactor:
         assert (f is not None) == brute_has_factor(g)
         if f is not None:
             assert verify_factor(g, f.cliques) == (True, "")
+
+    def test_thousand_vertex_parts_at_c4(self):
+        # One chosen clique per search level: 1000 levels, past Python's
+        # default recursion limit.
+        started = time.monotonic()
+        g = sparsify(
+            PartiteGraph.complete(3, 1000),
+            threshold_p(ThresholdParams(3, 1000, 4)).p,
+            RandomSeed(1),
+        )
+        f = find_factor(g)
+        assert isinstance(f, Factor)
+        assert verify_factor(g, f.cliques) == (True, "")
+        assert time.monotonic() - started < 60.0
 
 
 class TestSolveRestricted:
