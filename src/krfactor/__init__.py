@@ -7,7 +7,6 @@ factor search in `transversal`, and the experiment CLI in `cli`.
 """
 
 from .bounds import (
-    TailBoundInput,
     chernoff_bound,
     janson_lambda_delta,
     janson_lower_bound,
@@ -65,7 +64,6 @@ from .solver import (
     count_factors,
     estimate_spread,
     find_factor,
-    max_tiling,
     read_factor_certificate,
     sample_factor_uniform,
     solve_restricted,

@@ -8,23 +8,10 @@ pairs feeding the lower-tail bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .cliques import CliqueFamily
 from .errors import BudgetExceededError
-
-
-@dataclass(frozen=True)
-class TailBoundInput:
-    """Bag of bound parameters; each bound validates the fields it needs."""
-
-    lambda_exp: float | None = None  # expected surviving-clique count
-    delta_bar: float | None = None   # correlation sum over vertex-sharing pairs
-    a: float | None = None           # relative deviation
-    median_m: float | None = None
-    change_c: float | None = None    # per-coordinate effect bound
-    proof_r: float | None = None     # certificate-size factor
 
 
 def chernoff_bound(lambda_exp: float, a: float, tail: str) -> float:
@@ -83,31 +70,29 @@ def janson_lambda_delta(
     return lam, delta
 
 
-def janson_lower_bound(inp: TailBoundInput) -> float:
+def janson_lower_bound(lambda_exp: float, delta_bar: float, a: float) -> float:
     """exp(-a^2 * lambda^2 / (2 * delta_bar)) for the event X <= (1-a) * lambda."""
-    lam, db, a = inp.lambda_exp, inp.delta_bar, inp.a
-    if lam is None or db is None or a is None:
-        raise ValueError("needs lambda_exp, delta_bar and a")
-    if lam < 0:
+    if lambda_exp < 0:
         raise ValueError("lambda_exp must be nonnegative")
     if not 0 < a < 1:
         raise ValueError("needs 0 < a < 1")
-    if db <= 0:
+    if delta_bar <= 0:
         raise ValueError("delta_bar must be positive")
-    return math.exp(-a * a * lam * lam / (2.0 * db))
+    return math.exp(-a * a * lambda_exp * lambda_exp / (2.0 * delta_bar))
 
 
-def talagrand_bound(inp: TailBoundInput) -> float:
-    """min(1, 2 * exp(-a^2 / (16 * proof_r * change_c^2 * median_m)))."""
-    a, m, c, pr = inp.a, inp.median_m, inp.change_c, inp.proof_r
-    if a is None or m is None or c is None or pr is None:
-        raise ValueError("needs a, median_m, change_c and proof_r")
+def talagrand_bound(a: float, median_m: float, change_c: float, proof_r: float) -> float:
+    """min(1, 2 * exp(-a^2 / (16 * proof_r * change_c^2 * median_m))).
+
+    change_c bounds the effect of one coordinate; proof_r is the
+    certificate-size factor.
+    """
     if a < 0:
         raise ValueError("a must be nonnegative")
-    if m <= 0:
+    if median_m <= 0:
         raise ValueError("median_m must be positive")
-    if c <= 0:
+    if change_c <= 0:
         raise ValueError("change_c must be positive")
-    if pr <= 0:
+    if proof_r <= 0:
         raise ValueError("proof_r must be positive")
-    return min(1.0, 2.0 * math.exp(-a * a / (16.0 * pr * c * c * m)))
+    return min(1.0, 2.0 * math.exp(-a * a / (16.0 * proof_r * change_c * change_c * median_m)))

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from itertools import combinations, product
 from pathlib import Path
 
-from .bounds import TailBoundInput, chernoff_bound, janson_lambda_delta, janson_lower_bound
+from .bounds import chernoff_bound, janson_lambda_delta, janson_lower_bound
 from .cliques import enumerate_kr
 from .errors import BudgetExceededError, FileFormatError
 from .graphs import (
@@ -60,19 +60,9 @@ def _fmt_num(x) -> str:
     return format(x, ".10g")
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
+def _parse_list(text: str, what: str, convert=float) -> list:
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise FileFormatError(f"bad {what} list {text!r}: {exc}") from exc
-    if not vals:
-        raise FileFormatError(f"empty {what} list")
-    return vals
-
-
-def _parse_ints(text: str, what: str) -> list[int]:
-    try:
-        vals = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        vals = [convert(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise FileFormatError(f"bad {what} list {text!r}: {exc}") from exc
     if not vals:
@@ -147,14 +137,14 @@ def _run_sweep(mode: str, args) -> tuple[dict, list[dict]]:
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
         raise FileFormatError(f"--workers must be in 1..{cpus}")
-    n_list = _parse_ints(args.n, "n")
+    n_list = _parse_list(args.n, "n", int)
     if args.p_grid is not None:
-        grid_kind, grid = "p", _parse_floats(args.p_grid, "p grid")
+        grid_kind, grid = "p", _parse_list(args.p_grid, "p grid")
         for p in grid:
             if not 0.0 <= p <= 1.0:
                 raise FileFormatError(f"p={p} outside [0, 1]")
     else:
-        grid_kind, grid = "C", _parse_floats(args.c_grid, "C grid")
+        grid_kind, grid = "C", _parse_list(args.c_grid, "C grid")
     config = {
         "mode": mode,
         "r": args.r,
@@ -321,10 +311,10 @@ def cmd_janson_report(args) -> int:
     family = enumerate_kr(g, max_cliques=args.max_cliques)
     lam, delta_bar = janson_lambda_delta(family, args.p)
     bounds = []
-    for a in _parse_floats(args.deviations, "deviations"):
+    for a in _parse_list(args.deviations, "deviations"):
         entry: dict = {"a": a}
         entry["janson_lower"] = (
-            janson_lower_bound(TailBoundInput(lambda_exp=lam, delta_bar=delta_bar, a=a))
+            janson_lower_bound(lam, delta_bar, a)
             if 0 < a < 1 and delta_bar > 0
             else None
         )
@@ -561,13 +551,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

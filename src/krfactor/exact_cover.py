@@ -82,10 +82,5 @@ class ExactCover:
             return sol
         return None
 
-    def count_solutions(self, limit: int | None = None) -> int:
-        count = 0
-        for _ in self.solutions():
-            count += 1
-            if limit is not None and count >= limit:
-                break
-        return count
+    def count_solutions(self) -> int:
+        return sum(1 for _ in self.solutions())

@@ -1,4 +1,4 @@
-"""Exact clique-factor search: decision, counting, optimization, sampling.
+"""Exact clique-factor search: decision, counting, sampling.
 
 A factor is a set of vertex-disjoint transversal cliques covering every
 vertex. Decision/counting reduce to exact cover over the vertex set with one
@@ -173,59 +173,13 @@ def count_factors(g: PartiteGraph, *, max_rows: int = DEFAULT_ROW_BUDGET) -> int
     return dlx.count_solutions()
 
 
-def max_tiling(g: PartiteGraph, *, max_rows: int = DEFAULT_ROW_BUDGET) -> Tiling:
-    """A maximum-size tiling, by branch and bound over the clique rows.
+def _factor_sampler(g: PartiteGraph, max_rows: int):
+    """draw(seed) -> an exactly uniform random factor of g.
 
-    Branches on the lowest uncovered vertex (cover it with each candidate
-    clique, or leave it uncovered) and prunes with the per-part count bound.
-    """
-    rows = _clique_rows(g, _full_allowed(g), max_rows)
-    universe = (1 << g.vertex_count) - 1
-    masks = [mask_of(K) for K in rows]
-    by_vertex: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for idx, K in enumerate(rows):
-        for v in K:
-            by_vertex[v].append(idx)
-
-    best: list[int] = []
-    free0 = universe
-    for idx, m in enumerate(masks):  # greedy seed keeps the bound tight early
-        if m & free0 == m:
-            best.append(idx)
-            free0 &= ~m
-
-    pmasks = [g.part_mask(i) for i in range(g.r)]
-
-    def search(free: int, chosen: list[int]):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        if not free:
-            return
-        bound = min((free & pm).bit_count() for pm in pmasks)
-        if len(chosen) + bound <= len(best):
-            return
-        v = (free & -free).bit_length() - 1
-        for idx in by_vertex[v]:
-            m = masks[idx]
-            if m & free == m:
-                chosen.append(idx)
-                search(free & ~m, chosen)
-                chosen.pop()
-        search(free & ~(1 << v), chosen)
-
-    search(universe, [])
-    return Tiling(g, tuple(sorted(rows[i] for i in best)))
-
-
-def sample_factor_uniform(
-    g: PartiteGraph, seed: RandomSeed | int, *, max_rows: int = DEFAULT_ROW_BUDGET
-):
-    """An exactly uniform random factor of g.
-
-    Memoizes the factor count of every reachable residual vertex set and walks
-    down proportionally to the counts. Meant for small hosts; the clique row
-    budget is the guard. Raises ValueError when no factor exists.
+    Counts the factors of every residual vertex set reachable from the full
+    one (always covering its lowest vertex), filled in post-order with an
+    explicit stack, then walks down proportionally to the counts. Raises
+    ValueError when no factor exists.
     """
     rows = _clique_rows(g, _full_allowed(g), max_rows)
     by_vertex: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(g.vertex_count)]
@@ -233,41 +187,54 @@ def sample_factor_uniform(
         m = mask_of(K)
         for v in K:
             by_vertex[v].append((m, K))
-    memo = {0: 1}
-
-    def count_ext(free: int) -> int:
-        val = memo.get(free)
-        if val is not None:
-            return val
-        v = (free & -free).bit_length() - 1
-        total = 0
-        for m, _ in by_vertex[v]:
-            if m & free == m:
-                total += count_ext(free & ~m)
-        memo[free] = total
-        return total
-
     universe = (1 << g.vertex_count) - 1
-    total = count_ext(universe)
-    if total == 0:
-        raise ValueError("graph has no factor to sample")
-    gen = as_seed(seed).generator()
-    out = []
-    free = universe
-    while free:
+    memo = {0: 1}
+    stack = [universe]
+    while stack:
+        free = stack[-1]
         v = (free & -free).bit_length() - 1
-        x = randbelow(gen, count_ext(free))
-        for m, K in by_vertex[v]:
-            if m & free == m:
-                c = count_ext(free & ~m)
-                if x < c:
-                    out.append(K)
-                    free &= ~m
-                    break
-                x -= c
+        subs = [free & ~m for m, _ in by_vertex[v] if m & free == m]
+        todo = [sub for sub in subs if sub not in memo]
+        if todo:
+            stack.extend(todo)
         else:
-            raise RuntimeError("internal: counting walk left the support")
-    return Factor(g, tuple(sorted(out)))
+            memo[free] = sum(memo[sub] for sub in subs)
+            stack.pop()
+    if memo[universe] == 0:
+        raise ValueError("graph has no factor to sample")
+
+    def draw(seed: RandomSeed | int) -> Factor:
+        gen = as_seed(seed).generator()
+        out = []
+        free = universe
+        while free:
+            v = (free & -free).bit_length() - 1
+            x = randbelow(gen, memo[free])
+            for m, K in by_vertex[v]:
+                if m & free == m:
+                    c = memo[free & ~m]
+                    if x < c:
+                        out.append(K)
+                        free &= ~m
+                        break
+                    x -= c
+            else:
+                raise RuntimeError("internal: counting walk left the support")
+        return Factor(g, tuple(sorted(out)))
+
+    return draw
+
+
+def sample_factor_uniform(
+    g: PartiteGraph, seed: RandomSeed | int, *, max_rows: int = DEFAULT_ROW_BUDGET
+):
+    """An exactly uniform random factor of g.
+
+    Meant for small hosts: the count table holds one entry per reachable
+    residual vertex set, and the clique row budget is the only guard. Raises
+    ValueError when no factor exists.
+    """
+    return _factor_sampler(g, max_rows)(seed)
 
 
 @dataclass(frozen=True)
@@ -313,10 +280,8 @@ def estimate_spread(
         if samples < 1:
             raise ValueError("samples must be positive")
         base = as_seed(seed)
-        factor_sets = [
-            sample_factor_uniform(g, base.substream(t), max_rows=max_rows).cliques
-            for t in range(samples)
-        ]
+        draw = _factor_sampler(g, max_rows)
+        factor_sets = [draw(base.substream(t)).cliques for t in range(samples)]
     else:
         raise ValueError("mode must be 'exact' or 'sampled'")
     total = len(factor_sets)

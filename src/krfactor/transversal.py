@@ -80,37 +80,39 @@ def _pair_rank(r: int, i: int, j: int) -> int:
     return math.comb(r, 2) - math.comb(r - i, 2) + (j - i - 1)
 
 
+def _check_members(r: int, n: int, members: tuple, fits, expected: str) -> None:
+    """Shape checks shared by GraphFamily and reduce_nonpartite's input."""
+    if r < 2 or n < 1:
+        raise ValueError("need r >= 2 and n >= 1")
+    expect = n * math.comb(r, 2)
+    if len(members) != expect:
+        raise ValueError(f"family needs {expect} members, got {len(members)}")
+    for idx, g in enumerate(members):
+        if not fits(g):
+            raise ValueError(f"member {idx}: expected {expected}")
+
+
 @dataclass(frozen=True)
 class GraphFamily:
     """n * C(r, 2) graphs: member block [rank*n, (rank+1)*n) serves pair rank.
 
-    Partite members share the host geometry; plain members (partite=False)
-    live on r*n unstructured vertices and await reduce_nonpartite.
+    Every member is a PartiteGraph with the family's r and n; plain graphs
+    enter through reduce_nonpartite.
     """
 
     r: int
     n: int
     graphs: tuple
-    partite: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "graphs", tuple(self.graphs))
-        if self.r < 2 or self.n < 1:
-            raise ValueError("need r >= 2 and n >= 1")
-        expect = self.n * math.comb(self.r, 2)
-        if len(self.graphs) != expect:
-            raise ValueError(f"family needs {expect} members, got {len(self.graphs)}")
-        for idx, g in enumerate(self.graphs):
-            if self.partite:
-                if not isinstance(g, PartiteGraph) or g.r != self.r or g.n != self.n:
-                    raise ValueError(
-                        f"member {idx}: expected a PartiteGraph with r={self.r}, n={self.n}"
-                    )
-            else:
-                if not isinstance(g, SimpleGraph) or g.n != self.r * self.n:
-                    raise ValueError(
-                        f"member {idx}: expected a SimpleGraph on {self.r * self.n} vertices"
-                    )
+        _check_members(
+            self.r,
+            self.n,
+            self.graphs,
+            lambda g: isinstance(g, PartiteGraph) and g.r == self.r and g.n == self.n,
+            f"a PartiteGraph with r={self.r}, n={self.n}",
+        )
 
     @property
     def size(self) -> int:
@@ -180,8 +182,6 @@ class AuxiliaryGraph:
 def build_b_pi(family: GraphFamily, bundle: PermutationBundle) -> AuxiliaryGraph:
     """Assemble the aggregate graph: each cross pair inherits its edge bit
     from the member indexed by the source vertex's permuted position."""
-    if not family.partite:
-        raise ValueError("family must be partite (run reduce_nonpartite first)")
     if len(bundle.perms) != family.r or any(
         len(perm) != family.n for perm in bundle.perms
     ):
@@ -253,27 +253,10 @@ def lift_factor(aux: AuxiliaryGraph, factor) -> TransversalFactor:
 
 def verify_transversal(family: GraphFamily, tf: TransversalFactor) -> tuple[bool, str]:
     """Independent check of a lifted factor; returns (ok, reason)."""
-    r, n = family.r, family.n
-    total = r * n
-    seen = set()
-    edges = []
-    for K in tf.cliques:
-        if len(K) != r:
-            return False, f"clique {K}: expected {r} vertices"
-        for slot, v in enumerate(K):
-            if not 0 <= v < total:
-                return False, f"clique {K}: vertex {v} out of range"
-            if v // n != slot:
-                return False, f"clique {K}: not one vertex per part"
-        for v in K:
-            if v in seen:
-                return False, f"vertex {v} covered twice"
-            seen.add(v)
-        edges.extend(combinations(K, 2))
-    if len(seen) != total:
-        missing = next(v for v in range(total) if v not in seen)
-        return False, f"vertex {missing} not covered"
-    edge_set = set(edges)
+    ok, reason = verify_factor(PartiteGraph.complete(family.r, family.n), tf.cliques)
+    if not ok:
+        return False, reason
+    edge_set = {e for K in tf.cliques for e in combinations(K, 2)}
     extra = set(tf.assignment) - edge_set
     if extra:
         return False, f"assignment covers non-factor pair {sorted(extra)[0]}"
@@ -340,26 +323,34 @@ class ReduceResult(NamedTuple):
 
 
 def reduce_nonpartite(
-    family: GraphFamily,
+    r: int,
+    n: int,
+    members,
     gamma: float,
     seed: RandomSeed | int,
     *,
     max_attempts: int = 100,
 ) -> ReduceResult:
-    """Split plain members' common vertex set into r balanced classes keeping
-    all cross-class degrees at least (1 - 1/r + gamma/2) * (N/r), then relabel
-    every member to the induced partite geometry (intra-class pairs dropped).
+    """Split the n * C(r, 2) plain members' common vertex set (N = r*n
+    vertices) into r balanced classes keeping all cross-class degrees at
+    least (1 - 1/r + gamma/2) * n, then relabel every member to the induced
+    partite geometry (intra-class pairs dropped).
 
     Members must satisfy the plain min-degree floor (1 - 1/r + gamma) * N.
     """
-    if family.partite:
-        raise ValueError("family is already partite")
+    members = tuple(members)
+    big_n = r * n
+    _check_members(
+        r,
+        n,
+        members,
+        lambda g: isinstance(g, SimpleGraph) and g.n == big_n,
+        f"a SimpleGraph on {big_n} vertices",
+    )
     if not 0 < gamma <= 1:
         raise ValueError("gamma must lie in (0, 1]")
-    r, n = family.r, family.n
-    big_n = r * n
     floor = fceil((1 - 1 / r + gamma) * big_n)
-    for idx, g in enumerate(family.graphs):
+    for idx, g in enumerate(members):
         d = g.min_degree()
         if d < floor:
             raise ValueError(
@@ -378,7 +369,7 @@ def reduce_nonpartite(
                 cls_of[v] = c
         ok = True
         attempt_worst = n
-        for g in family.graphs:
+        for g in members:
             for v in range(big_n):
                 av = g.adj[v]
                 for c in range(r):
@@ -400,8 +391,8 @@ def reduce_nonpartite(
         for c, cls in enumerate(classes):
             for pos, v in enumerate(cls):
                 new_id[v] = c * n + pos
-        members = []
-        for g in family.graphs:
+        relabeled = []
+        for g in members:
             masks = [0] * big_n
             for v in range(big_n):
                 m = 0
@@ -411,10 +402,8 @@ def reduce_nonpartite(
                     for u in bit_indices(g.adj[v] & cmasks[c]):
                         m |= 1 << new_id[u]
                 masks[new_id[v]] = m
-            members.append(PartiteGraph.from_masks(r, n, masks))
-        return ReduceResult(
-            classes, GraphFamily(r, n, tuple(members), partite=True), attempt + 1
-        )
+            relabeled.append(PartiteGraph.from_masks(r, n, masks))
+        return ReduceResult(classes, GraphFamily(r, n, tuple(relabeled)), attempt + 1)
     raise RuntimeError(
         f"no balanced partition met the cross-class degree threshold {need:.3f} "
         f"in {max_attempts} attempts (best worst-case degree seen: {worst})"
@@ -429,8 +418,6 @@ def transversal_oracle(family: GraphFamily):
     that edge present). Covering all columns forces a factor whose edge ->
     member assignment is a bijection. Returns a TransversalFactor or None.
     """
-    if not family.partite:
-        raise ValueError("family must be partite")
     if family.r != 3 or family.n > 4:
         raise BudgetExceededError("oracle budget: r = 3 and n <= 4 only")
     r, n = family.r, family.n
@@ -475,8 +462,6 @@ def transversal_oracle(family: GraphFamily):
 
 def write_family(family: GraphFamily, dir_path) -> Path:
     """Write members + manifest.json under dir_path; returns the manifest path."""
-    if not family.partite:
-        raise ValueError("only partite families are serialized")
     root = Path(dir_path)
     (root / "graphs").mkdir(parents=True, exist_ok=True)
     entries = []
@@ -515,7 +500,7 @@ def read_family(manifest_path) -> GraphFamily:
         raise FileFormatError(f"{path}: bad manifest fields ({exc})") from exc
     graphs = [read_graph_file(path.parent / rel) for rel in entries]
     try:
-        return GraphFamily(r, n, tuple(graphs), partite=True)
+        return GraphFamily(r, n, tuple(graphs))
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

@@ -8,7 +8,6 @@ from krfactor import (
     BudgetExceededError,
     CliqueFamily,
     PartiteGraph,
-    TailBoundInput,
     chernoff_bound,
     enumerate_kr,
     janson_lambda_delta,
@@ -104,47 +103,47 @@ class TestJansonMoments:
 
 class TestJansonLowerBound:
     def test_reference_value(self):
-        inp = TailBoundInput(lambda_exp=1.0, delta_bar=2.125, a=0.5)
-        assert math.isclose(janson_lower_bound(inp), math.exp(-1.0 / 17.0), rel_tol=1e-12)
+        val = janson_lower_bound(lambda_exp=1.0, delta_bar=2.125, a=0.5)
+        assert math.isclose(val, math.exp(-1.0 / 17.0), rel_tol=1e-12)
 
     def test_domains(self):
+        with pytest.raises(TypeError):
+            janson_lower_bound(lambda_exp=1.0, delta_bar=2.0)
         with pytest.raises(ValueError):
-            janson_lower_bound(TailBoundInput(lambda_exp=1.0, delta_bar=2.0))
+            janson_lower_bound(lambda_exp=1.0, delta_bar=2.0, a=1.0)
         with pytest.raises(ValueError):
-            janson_lower_bound(TailBoundInput(lambda_exp=1.0, delta_bar=2.0, a=1.0))
+            janson_lower_bound(lambda_exp=1.0, delta_bar=0.0, a=0.5)
         with pytest.raises(ValueError):
-            janson_lower_bound(TailBoundInput(lambda_exp=1.0, delta_bar=0.0, a=0.5))
-        with pytest.raises(ValueError):
-            janson_lower_bound(TailBoundInput(lambda_exp=-1.0, delta_bar=2.0, a=0.5))
+            janson_lower_bound(lambda_exp=-1.0, delta_bar=2.0, a=0.5)
 
     def test_tightens_with_smaller_correlation(self):
-        loose = janson_lower_bound(TailBoundInput(lambda_exp=4.0, delta_bar=16.0, a=0.5))
-        tight = janson_lower_bound(TailBoundInput(lambda_exp=4.0, delta_bar=4.0, a=0.5))
+        loose = janson_lower_bound(lambda_exp=4.0, delta_bar=16.0, a=0.5)
+        tight = janson_lower_bound(lambda_exp=4.0, delta_bar=4.0, a=0.5)
         assert tight < loose
 
 
 class TestTalagrand:
     def test_reference_values(self):
-        hit_one = talagrand_bound(TailBoundInput(a=0.0, median_m=5.0, change_c=1.0, proof_r=2.0))
+        hit_one = talagrand_bound(a=0.0, median_m=5.0, change_c=1.0, proof_r=2.0)
         assert hit_one == 1.0
-        val = talagrand_bound(TailBoundInput(a=4.0, median_m=1.0, change_c=1.0, proof_r=1.0))
+        val = talagrand_bound(a=4.0, median_m=1.0, change_c=1.0, proof_r=1.0)
         assert math.isclose(val, 2.0 * math.exp(-1.0), rel_tol=1e-12)
 
     def test_domains(self):
+        with pytest.raises(TypeError):
+            talagrand_bound(a=1.0, median_m=1.0, change_c=1.0)
         with pytest.raises(ValueError):
-            talagrand_bound(TailBoundInput(a=1.0, median_m=1.0, change_c=1.0))
+            talagrand_bound(a=-1.0, median_m=1.0, change_c=1.0, proof_r=1.0)
         with pytest.raises(ValueError):
-            talagrand_bound(TailBoundInput(a=-1.0, median_m=1.0, change_c=1.0, proof_r=1.0))
+            talagrand_bound(a=1.0, median_m=0.0, change_c=1.0, proof_r=1.0)
         with pytest.raises(ValueError):
-            talagrand_bound(TailBoundInput(a=1.0, median_m=0.0, change_c=1.0, proof_r=1.0))
+            talagrand_bound(a=1.0, median_m=1.0, change_c=-1.0, proof_r=1.0)
         with pytest.raises(ValueError):
-            talagrand_bound(TailBoundInput(a=1.0, median_m=1.0, change_c=-1.0, proof_r=1.0))
-        with pytest.raises(ValueError):
-            talagrand_bound(TailBoundInput(a=1.0, median_m=1.0, change_c=1.0, proof_r=0.0))
+            talagrand_bound(a=1.0, median_m=1.0, change_c=1.0, proof_r=0.0)
 
     def test_decreasing_in_deviation(self):
         vals = [
-            talagrand_bound(TailBoundInput(a=a, median_m=10.0, change_c=1.0, proof_r=3.0))
+            talagrand_bound(a=a, median_m=10.0, change_c=1.0, proof_r=3.0)
             for a in (5.0, 10.0, 20.0, 40.0)
         ]
         assert all(x >= y for x, y in zip(vals, vals[1:]))

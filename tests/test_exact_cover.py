@@ -43,7 +43,6 @@ def test_count_limit():
     for i, cols in enumerate([[0], [1], [0, 1], [1], [0]]):
         ec.add_row(i, cols)
     assert ec.count_solutions() == 5
-    assert ec.count_solutions(limit=2) == 2
 
 
 def test_depth_beyond_recursion_limit():

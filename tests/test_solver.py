@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from collections import Counter
 
@@ -18,7 +19,6 @@ from krfactor import (
     estimate_spread,
     find_factor,
     gen_no_factor_witness,
-    max_tiling,
     read_factor_certificate,
     sample_factor_uniform,
     solve_restricted,
@@ -28,15 +28,6 @@ from krfactor import (
     write_factor_certificate,
 )
 from oracles import brute_count_factors, brute_factors, brute_has_factor
-
-
-def _detach(g: PartiteGraph, v: int) -> PartiteGraph:
-    """Copy of g with vertex v isolated."""
-    masks = list(g.adj)
-    for u in range(g.vertex_count):
-        masks[u] &= ~(1 << v)
-    masks[v] = 0
-    return PartiteGraph.from_masks(g.r, g.n, masks)
 
 
 class TestTilingTypes:
@@ -163,30 +154,6 @@ class TestCountFactors:
             count_factors(PartiteGraph.complete(3, 4), max_rows=10)
 
 
-class TestMaxTiling:
-    def test_complete_reaches_n(self):
-        t = max_tiling(PartiteGraph.complete(3, 3))
-        assert len(t) == 3
-
-    def test_witness_caps_at_n_minus_one(self):
-        wit = gen_no_factor_witness(3, 3, 4)
-        assert len(max_tiling(wit.graph)) == 2
-
-    def test_edgeless_is_empty(self):
-        assert len(max_tiling(PartiteGraph(3, 2))) == 0
-
-    def test_isolated_vertex_costs_exactly_one(self):
-        g = _detach(PartiteGraph.complete(3, 3), 0)
-        assert len(max_tiling(g)) == 2
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10_000), st.floats(0.4, 0.9))
-    def test_equals_n_iff_factor_exists(self, seed, p):
-        g = sparsify(PartiteGraph.complete(3, 2), p, seed)
-        t = max_tiling(g)
-        assert (len(t) == g.n) == brute_has_factor(g)
-
-
 class TestSampleFactorUniform:
     def test_unique_factor_host(self):
         g = PartiteGraph.complete(3, 1)
@@ -207,6 +174,15 @@ class TestSampleFactorUniform:
         with pytest.raises(ValueError, match="no factor"):
             sample_factor_uniform(gen_no_factor_witness(3, 2, 3).graph, 0)
 
+    def test_depth_beyond_recursion_limit(self):
+        # n disjoint triangles (i, n+i, 2n+i): the count table is n levels deep
+        n = sys.getrecursionlimit() + 100
+        g = PartiteGraph(
+            3, n, [e for i in range(n) for e in ((i, n + i), (i, 2 * n + i), (n + i, 2 * n + i))]
+        )
+        f = sample_factor_uniform(g, 0)
+        assert f.cliques == tuple((i, n + i, 2 * n + i) for i in range(n))
+
 
 class TestEstimateSpread:
     def test_exact_reference_values(self):
@@ -223,9 +199,17 @@ class TestEstimateSpread:
         assert set(est.values) == {1, 2}
 
     def test_sampled_mode_agrees_roughly(self):
-        est = estimate_spread(PartiteGraph.complete(3, 2), 1, mode="sampled", seed=3, samples=800)
+        g = PartiteGraph.complete(3, 2)
+        est = estimate_spread(g, 1, mode="sampled", seed=3, samples=800)
         assert est.mode == "sampled" and est.sample_count == 800
         assert abs(est.values[1] - 0.25) < 0.08
+        # the same draws as sample_factor_uniform on the same substreams
+        counts = Counter(
+            K
+            for t in range(800)
+            for K in sample_factor_uniform(g, RandomSeed(3).substream(t)).cliques
+        )
+        assert est.values == {1: max(counts.values()) / 800}
 
     def test_error_paths(self):
         with pytest.raises(ValueError, match="no factor"):

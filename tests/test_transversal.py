@@ -29,12 +29,14 @@ from krfactor import (
 )
 
 
-def complete_family(r, n, partite=True):
+def complete_family(r, n):
     size = n * math.comb(r, 2)
-    if partite:
-        return GraphFamily(r, n, tuple(PartiteGraph.complete(r, n) for _ in range(size)))
+    return GraphFamily(r, n, tuple(PartiteGraph.complete(r, n) for _ in range(size)))
+
+
+def complete_plain_members(r, n):
     full = SimpleGraph(r * n, combinations(range(r * n), 2))
-    return GraphFamily(r, n, tuple(full for _ in range(size)), partite=False)
+    return (full,) * (n * math.comb(r, 2))
 
 
 def all_bundles(r, n):
@@ -81,8 +83,6 @@ class TestGraphFamily:
             GraphFamily(3, 2, (g,) * 5)
         with pytest.raises(ValueError, match="expected a PartiteGraph"):
             GraphFamily(3, 2, (g,) * 5 + (PartiteGraph.complete(3, 3),))
-        with pytest.raises(ValueError, match="expected a SimpleGraph"):
-            GraphFamily(3, 2, (g,) * 6, partite=False)
         with pytest.raises(ValueError, match="r >= 2"):
             GraphFamily(1, 2, ())
 
@@ -167,9 +167,6 @@ class TestBuildBPi:
         fam = complete_family(2, 2)
         with pytest.raises(ValueError, match="bundle shape"):
             build_b_pi(fam, PermutationBundle(((0, 1),)))
-        plain = complete_family(2, 2, partite=False)
-        with pytest.raises(ValueError, match="partite"):
-            build_b_pi(plain, PermutationBundle(((0, 1), (0, 1))))
 
 
 class TestLiftFactor:
@@ -262,22 +259,20 @@ class TestBpiTrial:
 
 class TestReduceNonpartite:
     def test_complete_plain_family(self):
-        fam = complete_family(3, 2, partite=False)
-        res = reduce_nonpartite(fam, 0.15, 0)
+        res = reduce_nonpartite(3, 2, complete_plain_members(3, 2), 0.15, 0)
         assert res.attempts == 1
-        assert res.family.partite
+        assert isinstance(res.family, GraphFamily)
         assert [len(c) for c in res.partition] == [2, 2, 2]
         assert all(g == PartiteGraph.complete(3, 2) for g in res.family.graphs)
 
     def test_relabeling_preserves_cross_edges(self):
         base = SimpleGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        fam = GraphFamily(2, 2, (base, base), partite=False)
-        res = reduce_nonpartite(fam, 0.2, 3)
+        res = reduce_nonpartite(2, 2, (base, base), 0.2, 3)
         new_id = {}
         for c, cls in enumerate(res.partition):
             for pos, v in enumerate(cls):
                 new_id[v] = c * 2 + pos
-        for g, h in zip(fam.graphs, res.family.graphs):
+        for g, h in zip((base, base), res.family.graphs):
             for u in range(4):
                 for v in range(u + 1, 4):
                     cu = next(c for c, cls in enumerate(res.partition) if u in cls)
@@ -287,21 +282,28 @@ class TestReduceNonpartite:
                     assert h.has_edge(new_id[u], new_id[v]) == g.has_edge(u, v)
 
     def test_partite_family_rejected(self):
-        fam = complete_family(2, 2)
-        with pytest.raises(ValueError, match="already partite"):
-            reduce_nonpartite(fam, 0.5, 0)
+        g = PartiteGraph.complete(3, 2)
+        with pytest.raises(ValueError, match="member 0: expected a SimpleGraph on 6 vertices"):
+            reduce_nonpartite(3, 2, (g,) * 6, 0.5, 0)
+
+    def test_member_shape_checked(self):
+        plain = complete_plain_members(3, 2)
+        with pytest.raises(ValueError, match="needs 6 members, got 5"):
+            reduce_nonpartite(3, 2, plain[:5], 0.15, 0)
+        with pytest.raises(ValueError, match="member 5: expected a SimpleGraph"):
+            reduce_nonpartite(3, 2, plain[:5] + (SimpleGraph(4),), 0.15, 0)
+        with pytest.raises(ValueError, match="r >= 2"):
+            reduce_nonpartite(1, 2, (), 0.15, 0)
 
     def test_member_floor_enforced(self):
         full = SimpleGraph(4, combinations(range(4), 2))
         weak = SimpleGraph(4, [(0, 1), (2, 3)])
-        fam = GraphFamily(2, 2, (full, weak), partite=False)
         with pytest.raises(ValueError, match="member 1"):
-            reduce_nonpartite(fam, 0.2, 0)
+            reduce_nonpartite(2, 2, (full, weak), 0.2, 0)
 
     def test_attempt_exhaustion(self):
-        fam = complete_family(2, 2, partite=False)
         with pytest.raises(RuntimeError, match="no balanced partition"):
-            reduce_nonpartite(fam, 0.2, 0, max_attempts=0)
+            reduce_nonpartite(2, 2, complete_plain_members(2, 2), 0.2, 0, max_attempts=0)
 
 
 class TestOracle:
@@ -327,8 +329,6 @@ class TestOracle:
             transversal_oracle(complete_family(3, 5))
         with pytest.raises(BudgetExceededError):
             transversal_oracle(complete_family(4, 1))
-        with pytest.raises(ValueError, match="partite"):
-            transversal_oracle(complete_family(3, 2, partite=False))
 
     def test_agrees_with_exhaustive_bundles(self):
         for seed in range(10):
@@ -379,8 +379,10 @@ class TestFamilyFiles:
             read_family(tmp_path / "nowhere" / "manifest.json")
 
     def test_plain_family_not_serializable(self, tmp_path):
-        with pytest.raises(ValueError, match="partite"):
-            write_family(complete_family(2, 2, partite=False), tmp_path)
+        # plain members never form a GraphFamily, so there is nothing to write
+        with pytest.raises(ValueError, match="expected a PartiteGraph"):
+            write_family(GraphFamily(2, 2, complete_plain_members(2, 2)), tmp_path)
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestCertificates:
