@@ -13,6 +13,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from ._num import fceil
 from .errors import FileFormatError
 from .rng import RandomSeed, as_seed
@@ -136,15 +138,16 @@ def sparsify(g: PartiteGraph, p: float, seed: RandomSeed | int) -> PartiteGraph:
         raise ValueError("p must lie in [0, 1]")
     if p == 1.0:
         return PartiteGraph.from_masks(g.r, g.n, g.adj)
-    masks = [0] * g.vertex_count
-    if p > 0.0:
-        gen = as_seed(seed).generator()
-        coins = gen.random(g.edge_count()) < p
-        for keep, (u, v) in zip(coins, g.edges()):
-            if keep:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-    return PartiteGraph.from_masks(g.r, g.n, masks)
+    if p == 0.0:
+        return PartiteGraph(g.r, g.n)
+    # one coin per edge (u, v), u < v, drawn in row-major = g.edges() order
+    size = g.vertex_count
+    raw = b"".join(m.to_bytes((size + 7) // 8, "little") for m in g.adj)
+    A = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(size, -1), axis=1, bitorder="little")
+    A = np.triu(A[:, :size].astype(bool), 1)
+    A[A] = as_seed(seed).generator().random(int(A.sum())) < p
+    rows = np.packbits(A | A.T, axis=1, bitorder="little")
+    return PartiteGraph.from_masks(g.r, g.n, [int.from_bytes(row.tobytes(), "little") for row in rows])
 
 
 def split_rounds(p: float, rounds: int) -> float:

@@ -63,31 +63,52 @@ def _full_allowed(g: PartiteGraph):
     return [g.part_mask(i) for i in range(g.r)]
 
 
-def _first_clique_at(g: PartiteGraph, v: int, allowed):
-    pinned = list(allowed)
-    pinned[g.part_of(v)] = 1 << v
-    for K in _clique_stream(g, pinned):
-        return K
-    return None
+def _matching_cover(g: PartiteGraph, allowed):
+    """Cover the union of `allowed` part by part; None proves nothing.
 
-
-def _greedy_cover(g: PartiteGraph, allowed):
-    """Cover the union of `allowed` greedily; None on the first dead end."""
-    free = list(allowed)
-    total = 0
-    for m in free:
-        total |= m
-    out = []
-    while total:
-        v = (total & -total).bit_length() - 1
-        K = _first_clique_at(g, v, free)
-        if K is None:
-            return None
-        out.append(K)
-        for u in K:
-            free[g.part_of(u)] &= ~(1 << u)
-            total &= ~(1 << u)
-    return out
+    Stage s matches each partial clique on parts 0..s-1 to a part-s vertex
+    of its common neighbourhood, trying first the vertices that keep the
+    most of part s+1 in it: a greedy pass, then Kuhn's augmenting paths.
+    """
+    if len({m.bit_count() for m in allowed}) > 1:
+        return None
+    adj = g.adj
+    partial = [((v,), adj[v]) for v in bit_indices(allowed[0])]
+    for s in range(1, g.r):
+        cands = []
+        for _, common in partial:
+            us = bit_indices(common & allowed[s])
+            if s + 1 < g.r:
+                scored = sorted((-(common & adj[u] & allowed[s + 1]).bit_count(), u) for u in us)
+                us = [u for key, u in scored if key]
+            cands.append(list(us))
+        owner: dict[int, int] = {}
+        match = [None] * len(partial)
+        for i, us in enumerate(cands):
+            match[i] = next((u for u in us if u not in owner), None)
+            if match[i] is not None:
+                owner[match[i]] = i
+        for root in [i for i, u in enumerate(match) if u is None]:
+            seen, stack = set(), [[root, 0]]
+            while stack:
+                i, k = stack[-1]
+                k = next((j for j in range(k, len(cands[i])) if cands[i][j] not in seen), None)
+                if k is None:
+                    stack.pop()
+                    continue
+                stack[-1][1] = k + 1
+                seen.add(cands[i][k])
+                if cands[i][k] not in owner:
+                    break
+                stack.append([owner[cands[i][k]], 0])
+            if not stack:
+                return None
+            # each frame's last tried candidate leads to the frame above it
+            for i, k in stack:
+                match[i] = cands[i][k - 1]
+                owner[match[i]] = i
+        partial = [(K + (u,), common & adj[u]) for (K, common), u in zip(partial, match)]
+    return [K for K, _ in partial]
 
 
 def _clique_rows(g: PartiteGraph, allowed, max_rows: int):
@@ -124,10 +145,10 @@ def _build_cover(g: PartiteGraph, allowed, max_rows: int):
 
 
 def _first_cover(g: PartiteGraph, allowed, max_rows: int):
-    """Greedy cover, else the first exact cover; sorted cliques or None."""
-    greedy = _greedy_cover(g, allowed)
-    if greedy is not None:
-        return tuple(sorted(greedy))
+    """Matching cover, else the first exact cover; sorted cliques or None."""
+    matched = _matching_cover(g, allowed)
+    if matched is not None:
+        return tuple(sorted(matched))
     built = _build_cover(g, allowed, max_rows)
     if built is None:
         return None
@@ -141,7 +162,8 @@ def _first_cover(g: PartiteGraph, allowed, max_rows: int):
 def find_factor(g: PartiteGraph, *, max_rows: int = DEFAULT_ROW_BUDGET):
     """First clique factor of g, or None if none exists.
 
-    A cheap greedy cover is tried first; when it dead-ends, the exhaustive
+    The factor is first built part by part with bipartite matchings (see
+    `_matching_cover`); when a stage has no perfect matching, the exhaustive
     exact-cover search (branching on the most constrained vertex) decides,
     so a None answer is certified by complete search.
     """

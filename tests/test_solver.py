@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import time
 from collections import Counter
@@ -18,6 +19,7 @@ from krfactor import (
     count_factors,
     estimate_spread,
     find_factor,
+    gen_min_degree_instance,
     gen_no_factor_witness,
     read_factor_certificate,
     sample_factor_uniform,
@@ -27,6 +29,7 @@ from krfactor import (
     verify_factor,
     write_factor_certificate,
 )
+from krfactor.solver import _matching_cover
 from oracles import brute_count_factors, brute_factors, brute_has_factor
 
 
@@ -82,18 +85,80 @@ class TestFindFactor:
             assert verify_factor(g, f.cliques) == (True, "")
 
     def test_thousand_vertex_parts_at_c4(self):
-        # One chosen clique per search level: 1000 levels, past Python's
-        # default recursion limit.
+        # 1000 cliques per factor: past Python's default recursion limit for
+        # any search that recurses once per clique or per matched vertex.
         started = time.monotonic()
-        g = sparsify(
-            PartiteGraph.complete(3, 1000),
-            threshold_p(ThresholdParams(3, 1000, 4)).p,
-            RandomSeed(1),
-        )
-        f = find_factor(g)
-        assert isinstance(f, Factor)
-        assert verify_factor(g, f.cliques) == (True, "")
+        for seed in (1, 2, 3):
+            g = sparsify(
+                PartiteGraph.complete(3, 1000),
+                threshold_p(ThresholdParams(3, 1000, 4)).p,
+                RandomSeed(seed),
+            )
+            f = find_factor(g)
+            assert isinstance(f, Factor)
+            assert verify_factor(g, f.cliques) == (True, "")
         assert time.monotonic() - started < 60.0
+
+    def test_exact_search_decides_when_matching_fails(self):
+        # near the threshold the matching often fails on hosts with a factor
+        p = threshold_p(ThresholdParams(3, 30, 2)).p
+        rescued = 0
+        for t in range(10):
+            base = RandomSeed(5).substream(t)
+            g = sparsify(gen_min_degree_instance(3, 30, 0.2, 0.9, base.substream(0)), p, base.substream(1))
+            if _matching_cover(g, [g.part_mask(i) for i in range(3)]) is None:
+                f = find_factor(g)
+                if f is not None:
+                    assert verify_factor(g, f.cliques) == (True, "")
+                    rescued += 1
+        assert rescued >= 1
+
+    def test_augmenting_path_beyond_recursion_limit(self):
+        # part-0 vertex i sees part-1 vertices i and i+1, the last one only
+        # part-1 vertex 0: the greedy pass leaves it unmatched, and the one
+        # augmenting path shifts every other part-0 vertex up by one
+        n = sys.getrecursionlimit() + 100
+        edges = [(i, n + j) for i in range(n - 1) for j in (i, i + 1)] + [(n - 1, n)]
+        g = PartiteGraph(2, n, edges)
+        assert _matching_cover(g, [g.part_mask(0), g.part_mask(1)]) is not None
+        f = find_factor(g)
+        assert f.cliques == tuple((i, n + i + 1) for i in range(n - 1)) + ((n - 1, n),)
+
+
+def _relabel(g, allowed):
+    """The balanced subgraph induced by `allowed`, and its vertex relabelling."""
+    size = allowed[0].bit_count()
+    kept = [[v for v in g.part_range(i) if allowed[i] >> v & 1] for i in range(g.r)]
+    new_id = {v: i * size + j for i, vs in enumerate(kept) for j, v in enumerate(vs)}
+    edges = [(new_id[u], new_id[v]) for u, v in g.edges() if u in new_id and v in new_id]
+    return PartiteGraph(g.r, size, edges), new_id
+
+
+def test_differential_against_brute_force():
+    rng = random.Random(20231)
+    for _ in range(300):
+        r, n, p = rng.choice((2, 3, 4)), rng.randint(1, 4), rng.uniform(0.2, 0.9)
+        g = sparsify(PartiteGraph.complete(r, n), p, rng.randrange(1 << 30))
+        f = find_factor(g)
+        assert (f is not None) == brute_has_factor(g)
+        if f is not None:
+            assert verify_factor(g, f.cliques) == (True, "")
+        if rng.random() < 0.8:
+            k = rng.randint(1, n)
+            allowed = [sum(1 << v for v in rng.sample(g.part_range(i), k)) for i in range(r)]
+        else:
+            allowed = [g.part_mask(i) & rng.getrandbits(g.vertex_count) for i in range(r)]
+        sol = solve_restricted(g, allowed)
+        if len({m.bit_count() for m in allowed}) > 1:
+            assert sol is None
+        elif allowed[0] == 0:
+            assert sol == ()
+        else:
+            sub, new_id = _relabel(g, allowed)
+            assert (sol is not None) == brute_has_factor(sub)
+            if sol is not None:
+                mapped = [tuple(new_id[v] for v in K) for K in sol]
+                assert verify_factor(sub, mapped) == (True, "")
 
 
 class TestSolveRestricted:

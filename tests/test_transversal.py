@@ -6,6 +6,7 @@ import pytest
 from krfactor import (
     AuxiliaryGraph,
     BudgetExceededError,
+    Factor,
     FileFormatError,
     GraphFamily,
     PartiteGraph,
@@ -197,7 +198,8 @@ class TestVerifyTransversal:
     def _valid(self):
         fam = complete_family(3, 2)
         aux = build_b_pi(fam, PermutationBundle(((0, 1),) * 3))
-        tf = lift_factor(aux, find_factor(aux.graph))
+        # an explicit factor, so that (0, 3) below is a pair outside it
+        tf = lift_factor(aux, Factor(aux.graph, ((0, 2, 4), (1, 3, 5))))
         assert verify_transversal(fam, tf) == (True, "")
         return fam, tf
 
