@@ -1,12 +1,14 @@
 """Three-round clique-factor pipeline on partitioned instances.
 
-Round 1 covers the exceptional vertices with cliques revealed at the
-per-round probability inside the exceptional-plus-reserve pool. Round 2
+Each round draws its own sparsification of the host at the per-round
+probability. Round 1 covers the exceptional vertices with cliques of the
+first sparsification inside the exceptional-plus-reserve pool. Round 2
 computes integer clique weights on the reduced cluster graph and extracts
-that many disjoint cliques per cluster tuple from a fresh sparsification,
-drawing replacements from the reserve, so every cluster shrinks to a common
-residue target. Round 3 finishes each cluster tuple with an exact factor
-search on a third sparsification. The union is verified against the host.
+that many disjoint cliques per cluster tuple from the second, drawing
+replacements from the reserve, so every cluster shrinks to a common residue
+target. Round 3 finishes each cluster tuple with an exact factor search on
+the third. The assembled factor is verified in the union of the three
+sparsifications, the pipeline's G(p).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, islice
 
 from ._num import ffloor, mask_of
 from .cliques import _clique_stream
@@ -28,32 +30,6 @@ from .solver import (
     solve_restricted,
     verify_factor,
 )
-
-
-class _EdgeReveal:
-    """Per-edge Bernoulli survival coins, drawn on first inspection, memoized."""
-
-    def __init__(self, p: float, seed):
-        self.p = float(p)
-        self._gen = as_seed(seed).generator()
-        self._memo: dict[tuple[int, int], bool] = {}
-
-    def edge_alive(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        hit = self._memo.get((u, v))
-        if hit is None:
-            if self.p >= 1.0:
-                hit = True
-            elif self.p <= 0.0:
-                hit = False
-            else:
-                hit = float(self._gen.random()) < self.p
-            self._memo[(u, v)] = hit
-        return hit
-
-    def clique_alive(self, K) -> bool:
-        return all(self.edge_alive(a, b) for a, b in combinations(K, 2))
 
 
 @dataclass(frozen=True)
@@ -76,18 +52,18 @@ def cover_exceptional(
     """Place one surviving clique on each root, respecting quota sets.
 
     Candidates for a root are the lexicographically first floor(mu * N^(r-1))
-    transversal cliques through it inside `allowed` (N = |allowed|), chosen
-    before any reveal. Candidates touching already-used vertices, later
-    roots, or saturated quota sets are discarded; the first remaining
-    candidate whose edges all survive the p-reveal is taken. A quota set
+    transversal cliques of `g` through it inside `allowed` (N = |allowed|).
+    Candidates touching already-used vertices, later roots, or saturated
+    quota sets are discarded; the first remaining candidate that is a clique
+    of `sparsify(g, p, seed)` is taken, and the returned tiling's host is that
+    sparsified graph. A quota set
     saturates once its usage exceeds 4*r*mu*|X_s| - 1 (slightly stricter than
     the exact threshold when it is fractional), which caps final usage at
     4*r*mu*|X_s| + r - 2.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    gp = sparsify(g, p, seed)
     roots = [int(v) for v in roots]
     if len(set(roots)) != len(roots):
         raise ValueError("roots must be distinct")
@@ -131,24 +107,19 @@ def cover_exceptional(
     suffix = [0] * (len(roots) + 1)
     for idx in range(len(roots) - 1, -1, -1):
         suffix[idx] = suffix[idx + 1] | (1 << roots[idx])
-    reveal = _EdgeReveal(p, seed)
     used = 0
     chosen = []
     for idx, v in enumerate(roots):
         part_allowed = [allowed & g.part_mask(i) for i in range(g.r)]
         part_allowed[g.part_of(v)] = 1 << v
-        cand = []
-        for K in _clique_stream(g, part_allowed):
-            cand.append(K)
-            if len(cand) >= cap:
-                break
+        cand = list(islice(_clique_stream(g, part_allowed), cap))
         if len(cand) < cap:
             warnings.append(f"root {v}: only {len(cand)} candidates (cap {cap})")
         blocked = used | suffix[idx + 1] | saturated
         survivors = [K for K in cand if not mask_of(K) & blocked]
         pick = None
         for K in survivors:
-            if reveal.clique_alive(K):
+            if all(gp.has_edge(a, b) for a, b in combinations(K, 2)):
                 pick = K
                 break
         if pick is None:
@@ -165,7 +136,7 @@ def cover_exceptional(
     for s, u in enumerate(usage):
         if u > thresholds[s] + g.r - 2 + 1e-9:
             raise RuntimeError(f"internal: quota set {s} over budget ({u})")
-    return CoverResult(Tiling(g, tuple(sorted(chosen))), tuple(usage), tuple(warnings))
+    return CoverResult(Tiling(gp, tuple(sorted(chosen))), tuple(usage), tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -296,6 +267,31 @@ def balance_weights(
     return WeightAssignment(reduced, tuple(lam), dict(Counter(cliques)), checks)
 
 
+def _disjoint_pick(masks, need: int):
+    """Indices of the lexicographically first `need` pairwise disjoint masks.
+
+    None if there are none. Depth-first on an explicit stack, so `need` may
+    exceed the recursion limit.
+    """
+    path: list[int] = []
+    blocked = 0
+    idx = 0
+    while len(path) < need:
+        last = len(masks) - (need - len(path))  # leave room for the rest
+        while idx <= last and masks[idx] & blocked:
+            idx += 1
+        if idx <= last:
+            path.append(idx)
+            blocked |= masks[idx]
+        elif path:
+            idx = path.pop()
+            blocked &= ~masks[idx]
+        else:
+            return None
+        idx += 1
+    return path
+
+
 def balance_tuples(
     g_round: PartiteGraph,
     instance: PartitionedInstance,
@@ -308,8 +304,9 @@ def balance_tuples(
     """Extract omega(K) disjoint present cliques per cluster tuple K.
 
     Picks only reserve-pool vertices, so after removal every cluster holds
-    exactly `target` vertices. Each copy is a uniformly random choice among
-    the currently available present cliques; if the random greedy pass
+    exactly `target` vertices. A tuple's candidates are its present cliques
+    avoiding earlier tuples' picks; each copy is a uniformly random choice
+    among those avoiding the copies already drawn. If the random pass
     strands a tuple, an exhaustive disjoint-set search over its candidates
     decides before failing.
     """
@@ -352,60 +349,32 @@ def balance_tuples(
     gen = as_seed(seed).generator()
     used = 0
     chosen: list[tuple[int, ...]] = []
-
-    def candidates(K, blocked):
-        masks = [avail[K[i]] & ~blocked for i in range(r)]
-        out = []
-        for cl in _clique_stream(g_round, masks):
-            out.append(cl)
-            if len(out) > max_rows:
-                raise BudgetExceededError(
-                    f"tuple {K}: more than {max_rows} candidate cliques"
-                )
-        return out
-
-    def exact_pick(cand, need):
-        cmasks = [mask_of(cl) for cl in cand]
-
-        def bt(start, left, blocked):
-            if left == 0:
-                return []
-            for idx in range(start, len(cand) - left + 1):
-                if cmasks[idx] & blocked:
-                    continue
-                sub = bt(idx + 1, left - 1, blocked | cmasks[idx])
-                if sub is not None:
-                    return [cand[idx]] + sub
-            return None
-
-        return bt(0, need, 0)
-
     for K in sorted(omega):
         need = int(omega[K])
         if need == 0:
             continue
-        used_before = used
+        # enumerated once: each copy draws from those avoiding earlier copies
+        masks = [avail[K[i]] & ~used for i in range(r)]
+        cand = list(islice(_clique_stream(g_round, masks), max_rows + 1))
+        if len(cand) > max_rows:
+            raise BudgetExceededError(f"tuple {K}: more than {max_rows} candidate cliques")
+        cmasks = [mask_of(cl) for cl in cand]
+        live = range(len(cand))
         picks = []
-        for _ in range(need):
-            cand = candidates(K, used)
-            if not cand:
-                picks = None
-                break
-            cl = cand[randbelow(gen, len(cand))]
-            picks.append(cl)
-            used |= mask_of(cl)
-        if picks is None:
-            used = used_before
-            fallback = exact_pick(candidates(K, used), need)
-            if fallback is None:
+        while live and len(picks) < need:
+            i = live[randbelow(gen, len(live))]
+            picks.append(i)
+            live = [j for j in live if not cmasks[j] & cmasks[i]]
+        if len(picks) < need:
+            picks = _disjoint_pick(cmasks, need)
+            if picks is None:
                 raise BalanceTuplesError(
                     f"could not extract {need} disjoint present cliques for tuple {K}",
                     tuple_key=K,
                 )
-            picks = fallback
-            for cl in picks:
-                used |= mask_of(cl)
-        chosen.extend(picks)
+        for i in picks:
+            used |= cmasks[i]
+            chosen.append(cand[i])
     for rv, need in implied.items():
         got = (used & avail[rv]).bit_count()
         if got != need:
@@ -506,13 +475,13 @@ def run_pipeline(
     alpha: float = 0.25,
     mu: float = 0.05,
     w_retries: int = 100,
-    samples: int = 300,
     max_rows: int = DEFAULT_ROW_BUDGET,
 ) -> PipelineReport:
     """Run the three-round construction; never raises on stage failure.
 
     The returned report carries per-stage diagnostics, the failing stage (if
-    any), and on success the verified factor of the host graph.
+    any), and on success the factor, verified in the union of the three
+    rounds' sparsifications.
     """
     g = instance.host
     r, n, k = g.r, g.n, instance.params.k
@@ -604,7 +573,7 @@ def run_pipeline(
             f"some cluster fell below the residue target {target}: lambdas {lam}",
         )
     reduced, reg_reports = build_reduced_graph(
-        instance, seed=base.substream(2), samples=samples
+        instance, seed=base.substream(2), samples=300
     )
     stages["reduced"] = {
         "edges": reduced.edge_count(),
@@ -661,9 +630,10 @@ def run_pipeline(
         k3.extend(sol)
         tuple_sizes.append(len(sol))
     stages["round3"] = {"tuples": k, "cliques": len(k3), "per_tuple": tuple_sizes}
-    # --- union and independent verification --------------------------------
+    # --- union and independent verification in G1 ∪ G2 ∪ G3 ----------------
     cliques = tuple(sorted(k1.cliques + k2.cliques + tuple(k3)))
-    ok, reason = verify_factor(g, cliques)
+    union = [a | b | c for a, b, c in zip(k1.host.adj, g2.adj, g3.adj)]
+    ok, reason = verify_factor(PartiteGraph.from_masks(r, n, union), cliques)
     if not ok:
         return fail("verify", f"internal: assembled factor rejected: {reason}")
     return PipelineReport(True, None, None, params, stages, cliques, True)

@@ -292,6 +292,18 @@ class TestPipelineRun:
         assert payload["success"] is False
         assert payload["failure_stage"] is not None
 
+    def test_sparse_rerun_is_identical(self, capsys):
+        argv = ["pipeline-run", "--r", "3", "--k", "1", "--cluster-size", "20",
+                "--d", "0.8", "--b-size", "3", "--p", "0.9", "--seed", "1"]
+        code, first, _ = run_cli(argv, capsys)
+        assert code == 0
+        payload = json.loads(first)
+        assert payload["verified"] is True
+        assert payload["stages"]["cover"]["cliques"] == 3
+        code, second, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert second == first
+
     def test_needs_instance_or_full_shape(self, capsys):
         code, _, err = run_cli(["pipeline-run", "--p", "1", "--r", "3"], capsys)
         assert code == 2

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -10,12 +11,15 @@ from krfactor import (
     CoverError,
     PartiteGraph,
     PartitionedInstance,
+    RandomSeed,
     RegularityParams,
     balance_tuples,
     balance_weights,
     cover_exceptional,
     gen_super_regular_instance,
     run_pipeline,
+    solve_restricted,
+    sparsify,
     split_rounds,
     verify_factor,
 )
@@ -56,6 +60,30 @@ class TestCoverExceptional:
             cover_exceptional(g, [0], 0.5, [], 3, p=0.0)
         assert exc.value.root == 0
         assert exc.value.survivors == 16  # every clique through 0 survived the filter
+
+    def test_survival_law_on_single_edge(self):
+        # K(2,1): the root's only candidate survives iff its one edge does
+        g = PartiteGraph.complete(2, 1)
+        hits = 0
+        trials = 3000
+        for seed in range(trials):
+            try:
+                cover_exceptional(g, [0], 0.5, [], seed, p=0.4)
+            except CoverError:
+                continue
+            hits += 1
+        sigma = math.sqrt(0.4 * 0.6 / trials)
+        assert abs(hits / trials - 0.4) <= 3 * sigma
+
+    def test_cliques_lie_in_the_sparsified_host(self):
+        g = PartiteGraph.complete(3, 6)
+        res = cover_exceptional(g, [0, 6], 0.5, [], 4, p=0.6)
+        gp = sparsify(g, 0.6, 4)
+        assert res.tiling.host == gp
+        assert gp != g
+        assert len(res.tiling) == 2
+        for K in res.tiling.cliques:
+            assert all(gp.has_edge(a, b) for a in K for b in K if a < b)
 
     def test_saturated_quotas_block_roots(self):
         # singleton quotas with tiny mu saturate before any use
@@ -280,6 +308,25 @@ class TestBalanceTuples:
             res = balance_tuples(g, inst, {(0, 1, 2): 2}, 2, seed)
             assert set(res.cliques) == {(0, 4, 8), (1, 5, 9)}
 
+    def test_exhaustive_fallback_has_no_recursion_limit(self):
+        # m copies of the gadget above; the random pass strands on any decoy,
+        # and the fallback must then pick 2m cliques
+        m = (sys.getrecursionlimit() + 101) // 2 + 1
+        n = 2 * m
+        edges = []
+        for j in range(m):
+            a, b, c = 2 * j, n + 2 * j, 2 * n + 2 * j
+            edges += [(a, b), (b, c), (a, c)]  # T1
+            edges += [(a + 1, b + 1), (b + 1, c + 1), (a + 1, c + 1)]  # T2
+            edges += [(a, b + 1), (a, c + 1)]  # decoy (a, b+1, c+1)
+        g = PartiteGraph(3, n, edges)
+        clusters = tuple((tuple(g.part_range(i)),) for i in range(3))
+        params = RegularityParams(epsilon=0.1, d=0.2, gamma=0.5, k=1)
+        inst = PartitionedInstance(g, clusters, (), params, reserved=tuple(range(3 * n)))
+        res = balance_tuples(g, inst, {(0, 1, 2): 2 * m}, 0, 0)
+        assert len(res) == 2 * m > sys.getrecursionlimit() + 100
+        assert res.covered_mask == (1 << (3 * n)) - 1
+
     def test_omega_key_validation(self):
         inst = _full_part_instance(3, 4)
         with pytest.raises(ValueError, match="negative"):
@@ -314,6 +361,36 @@ class TestRunPipeline:
         assert rep.success, rep.error
         assert verify_factor(inst.host, rep.factor) == (True, "")
         assert rep.stages["cover"]["cliques"] == 3
+
+    def test_factor_lies_in_the_revealed_rounds(self):
+        inst = gen_super_regular_instance(3, 2, 30, 0.6, 3, 42)
+        rep = run_pipeline(inst, 0.9, 0)
+        assert rep.success, rep.error
+        assert rep.verified
+        assert rep.stages["cover"]["cliques"] == 3
+        g = inst.host
+        rounds = [
+            sparsify(g, split_rounds(0.9, 3), RandomSeed(0).substream(s)) for s in (1, 3, 5)
+        ]
+        union = PartiteGraph.from_masks(
+            g.r, g.n, [a | b | c for a, b, c in zip(*(h.adj for h in rounds))]
+        )
+        assert union != g
+        assert verify_factor(union, rep.factor) == (True, "")
+
+    def test_host_only_round3_cliques_are_rejected(self, monkeypatch):
+        # a round 3 that ignores its sparsification finds cliques of the host
+        # that G1 ∪ G2 ∪ G3 lacks, and the final check must catch them
+        inst = gen_super_regular_instance(3, 2, 30, 0.6, 3, 42)
+        monkeypatch.setattr(
+            "krfactor.pipeline.solve_restricted",
+            lambda g3, masks, **kw: solve_restricted(inst.host, masks, **kw),
+        )
+        rep = run_pipeline(inst, 0.9, 0)
+        assert not rep.success
+        assert rep.failure_stage == "verify"
+        assert rep.error.startswith("internal: assembled factor rejected: ")
+        assert "missing edge" in rep.error
 
     def test_sparse_failure_is_staged(self):
         inst = _full_part_instance(3, 10, gamma=0.6, d=0.8)
