@@ -1,5 +1,6 @@
 """Small numeric helpers.
 
+`unpack` and `pack` convert between int bitmasks and numpy bool matrices.
 Thresholds in this package are real-valued expressions like (1 - 1/r + gamma) * n
 whose exact values are often representable-adjacent (e.g. 0.8 * 40). Applying
 ceil/floor straight to the float can be off by one, so these helpers round away
@@ -7,6 +8,8 @@ float dust first.
 """
 
 import math
+
+import numpy as np
 
 _DUST = 9  # decimal places considered meaningful for threshold arithmetic
 
@@ -35,3 +38,21 @@ def bit_indices(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def unpack(masks, width: int) -> np.ndarray:
+    """Bool matrix whose row i holds bits 0..width-1 of masks[i]."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    bits = np.unpackbits(
+        np.frombuffer(raw, np.uint8).reshape(len(masks), nbytes), axis=1, bitorder="little"
+    )
+    return bits[:, :width].astype(bool)
+
+
+def pack(rows: np.ndarray) -> list[int]:
+    """Inverse of `unpack`: one int mask per row of a bool matrix."""
+    return [
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(rows, axis=1, bitorder="little")
+    ]

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._num import fceil
+from ._num import fceil, pack, unpack
 from .errors import FileFormatError
 from .rng import RandomSeed, as_seed
 
@@ -141,13 +141,9 @@ def sparsify(g: PartiteGraph, p: float, seed: RandomSeed | int) -> PartiteGraph:
     if p == 0.0:
         return PartiteGraph(g.r, g.n)
     # one coin per edge (u, v), u < v, drawn in row-major = g.edges() order
-    size = g.vertex_count
-    raw = b"".join(m.to_bytes((size + 7) // 8, "little") for m in g.adj)
-    A = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(size, -1), axis=1, bitorder="little")
-    A = np.triu(A[:, :size].astype(bool), 1)
+    A = np.triu(unpack(g.adj, g.vertex_count), 1)
     A[A] = as_seed(seed).generator().random(int(A.sum())) < p
-    rows = np.packbits(A | A.T, axis=1, bitorder="little")
-    return PartiteGraph.from_masks(g.r, g.n, [int.from_bytes(row.tobytes(), "little") for row in rows])
+    return PartiteGraph.from_masks(g.r, g.n, pack(A | A.T))
 
 
 def split_rounds(p: float, rounds: int) -> float:

@@ -396,11 +396,12 @@ def _reserve_conditions(
     r, n, k = g.r, g.n, inst.params.k
     gamma = inst.params.gamma
     nominal = n / k
+    cmasks = [[inst.cluster_mask(i, c) for c in range(k)] for i in range(r)]
     counts = []
     counts_ok = True
     for i in range(r):
-        for c in range(k):
-            cnt = (inst.cluster_mask(i, c) & wmask).bit_count()
+        for cm in cmasks[i]:
+            cnt = (cm & wmask).bit_count()
             counts.append(cnt)
             if not (0.5 - alpha) * nominal - 1e-9 <= cnt <= (0.5 + alpha) * nominal + 1e-9:
                 counts_ok = False
@@ -424,8 +425,7 @@ def _reserve_conditions(
         for i in range(r):
             if i == g.part_of(v):
                 continue
-            for c in range(k):
-                cm = inst.cluster_mask(i, c)
+            for cm in cmasks[i]:
                 d_full = (g.adj[v] & cm).bit_count()
                 if d_full < eps * cm.bit_count():
                     continue

@@ -15,12 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._num import bit_indices, fceil, mask_of
+from ._num import bit_indices, fceil, mask_of, pack, unpack
 from .errors import FileFormatError
 from .graphs import PartiteGraph
 from .rng import RandomSeed, as_seed
 
 EXHAUSTIVE_LIMIT = 12  # exhaustive subset checking up to this side size
+_SAMPLE_BLOCK = 512  # sampled subset pairs drawn and counted per batch
 
 
 @dataclass(frozen=True)
@@ -218,6 +219,15 @@ def check_regular_pair(
     prefixes cover all extremes). Otherwise uniformly sampled subset pairs;
     a sampled "regular" verdict is evidence, not proof, while any witness
     returned is exact.
+
+    Sampled mode draws, per sample and in this order from one generator
+    seeded by `seed`, |A| in [eps|X|, |X|], |B| likewise, then a permutation
+    of X and one of Y whose first |A| and |B| entries are the subsets. Draws
+    come in blocks of _SAMPLE_BLOCK (512) samples, and each block's e(A, B)
+    counts are one matrix product. The check stops after the first block
+    holding a deviation, and the witness is that block's first deviating
+    sample, so verdicts, witnesses and `pairs_checked` equal those of a
+    sample-by-sample loop.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -234,15 +244,8 @@ def check_regular_pair(
     if g.part_of(X[0]) == g.part_of(Y[0]):
         raise ValueError("X and Y lie in the same part")
     lx, ly = len(X), len(Y)
-    # per-y adjacency masks over X-index space
-    cols = []
-    for y in Y:
-        m = 0
-        ay = g.adj[y]
-        for t, x in enumerate(X):
-            m |= ((ay >> x) & 1) << t
-        cols.append(m)
-    density = sum(m.bit_count() for m in cols) / (lx * ly)
+    M = unpack([g.adj[x] for x in X], g.vertex_count)[:, list(Y)]  # M[s, t]: X[s] ~ Y[t]
+    density = int(M.sum()) / (lx * ly)
     a_min = max(1, fceil(epsilon * lx))
     b_min = max(1, fceil(epsilon * ly))
     if mode == "auto":
@@ -252,6 +255,7 @@ def check_regular_pair(
             raise ValueError(
                 f"exhaustive mode limited to side size {EXHAUSTIVE_LIMIT}"
             )
+        cols = pack(M.T)  # per-y adjacency masks over X-index space
         checked = 0
         for amask in range(1, 1 << lx):
             sz = amask.bit_count()
@@ -283,23 +287,31 @@ def check_regular_pair(
     if samples < 1:
         raise ValueError("samples must be positive")
     gen = as_seed(seed).generator()
-    for t in range(samples):
-        sa = int(gen.integers(a_min, lx + 1))
-        sb = int(gen.integers(b_min, ly + 1))
-        a_idx = gen.permutation(lx)[:sa]
-        b_idx = gen.permutation(ly)[:sb]
-        amask = 0
-        for q in a_idx:
-            amask |= 1 << int(q)
-        e_ab = sum((cols[int(q)] & amask).bit_count() for q in b_idx)
-        obs = e_ab / (sa * sb)
-        if abs(obs - density) >= epsilon:
+    Mf = M.astype(np.float64)  # sums of 0/1 products are exact in float64
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        block = min(_SAMPLE_BLOCK, samples - start)
+        sa = np.empty(block, np.int64)
+        sb = np.empty(block, np.int64)
+        PA = np.empty((block, lx), np.int64)
+        PB = np.empty((block, ly), np.int64)
+        for t in range(block):
+            sa[t] = gen.integers(a_min, lx + 1)
+            sb[t] = gen.integers(b_min, ly + 1)
+            PA[t] = gen.permutation(lx)
+            PB[t] = gen.permutation(ly)
+        # sample t's A is PA[t, :sa[t]]: index q is in it iff its position is below sa[t]
+        IA = PA.argsort(axis=1) < sa[:, None]
+        IB = PB.argsort(axis=1) < sb[:, None]
+        obs = ((IA @ Mf) * IB).sum(axis=1) / (sa * sb)
+        bad = np.flatnonzero(np.abs(obs - density) >= epsilon)
+        if bad.size:
+            t = int(bad[0])
             witness = (
-                tuple(sorted(X[int(q)] for q in a_idx)),
-                tuple(sorted(Y[int(q)] for q in b_idx)),
-                obs,
+                tuple(sorted(X[q] for q in PA[t, : sa[t]].tolist())),
+                tuple(sorted(Y[q] for q in PB[t, : sb[t]].tolist())),
+                float(obs[t]),
             )
-            return RegPairReport(False, density, epsilon, "sampled", witness, t + 1)
+            return RegPairReport(False, density, epsilon, "sampled", witness, start + t + 1)
     return RegPairReport(True, density, epsilon, "sampled", None, samples)
 
 

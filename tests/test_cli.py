@@ -7,6 +7,7 @@ import os
 import pytest
 
 import krfactor.cli
+import krfactor.pipeline
 from krfactor import (
     BudgetExceededError,
     GraphFamily,
@@ -303,6 +304,20 @@ class TestPipelineRun:
         code, second, _ = run_cli(argv, capsys)
         assert code == 0
         assert second == first
+
+    def test_internal_error_exits_1_without_traceback(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("internal: x")
+
+        monkeypatch.setattr(krfactor.pipeline, "cover_exceptional", broken)
+        code, out, err = run_cli(
+            ["pipeline-run", "--r", "3", "--k", "1", "--cluster-size", "20",
+             "--d", "0.8", "--b-size", "3", "--p", "0.9", "--seed", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: internal: x\n"
 
     def test_needs_instance_or_full_shape(self, capsys):
         code, _, err = run_cli(["pipeline-run", "--p", "1", "--r", "3"], capsys)

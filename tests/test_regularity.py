@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from krfactor import (
     FileFormatError,
     PartiteGraph,
     PartitionedInstance,
+    RandomSeed,
     RegularityParams,
     build_reduced_graph,
     check_regular_pair,
@@ -18,7 +20,41 @@ from krfactor import (
     write_instance,
 )
 from krfactor.regularity import residual_instance
-from oracles import brute_regular_pair, pair_density
+from oracles import brute_regular_pair, pair_density, sampled_regular_pair_reference
+
+
+def _block_split(side):
+    """side+side pair in parts of size 2*side: complete between matching halves, else empty."""
+    half = side // 2
+    edges = [(x, 2 * side + y) for x in range(half) for y in range(half)]
+    edges += [(x, 2 * side + y) for x in range(half, side) for y in range(half, side)]
+    return PartiteGraph(2, 2 * side, edges), range(side), range(2 * side, 3 * side)
+
+
+def _random_pair(i):
+    """Seeded pair i: sides 13-60, dense, sparse or a noisy block split by i % 3."""
+    rnd = random.Random(i)
+    lx, ly = rnd.randint(13, 60), rnd.randint(13, 60)
+    if i % 3 == 2:
+        def prob(x, y):
+            return 0.9 if (x < lx // 2) == (y < ly // 2) else 0.1
+    else:
+        p = rnd.uniform(0.6, 0.95) if i % 3 == 0 else rnd.uniform(0.05, 0.35)
+
+        def prob(x, y):
+            return p
+    edges = [(x, 60 + y) for x in range(lx) for y in range(ly) if rnd.random() < prob(x, y)]
+    eps = rnd.choice((0.1, 0.15, 0.2))
+    samples = rnd.choice((1, 40, 300, 700))
+    return PartiteGraph(2, 60, edges), range(lx), range(60, 60 + ly), eps, samples
+
+
+def _sampled_and_reference(g, X, Y, eps, samples, seed):
+    rep = check_regular_pair(g, X, Y, eps, mode="sampled", samples=samples, seed=seed)
+    if rep.witness is not None:
+        assert type(rep.witness[2]) is float
+    ref = sampled_regular_pair_reference(g, X, Y, eps, samples, RandomSeed(seed).generator())
+    return (rep.regular, rep.witness, rep.pairs_checked), ref
 
 
 def _hand_instance():
@@ -163,6 +199,36 @@ class TestCheckRegularPair:
             A, B, obs = rep.witness
             assert math.isclose(obs, pair_density(g, A, B), abs_tol=1e-12)
             assert abs(obs - rep.density) >= 0.35
+
+    def test_block_split_is_found_by_sampling(self):
+        # a wider margin than the 0.35 above: there the sampled draws for
+        # seeds 0-19 find no deviating subset pair of this split at all
+        g, X, Y = _block_split(20)
+        for seed in range(20):
+            rep = check_regular_pair(g, X, Y, 0.15, mode="sampled", seed=seed)
+            assert not rep.regular, seed
+            A, B, obs = rep.witness
+            assert obs == pair_density(g, A, B)
+            assert abs(obs - rep.density) >= 0.15
+
+    def test_sampled_matches_reference(self):
+        count = 240
+        irregular = 0
+        for i in range(count):
+            got, ref = _sampled_and_reference(*_random_pair(i), seed=i)
+            assert got == ref, i
+            irregular += not got[0]
+        assert 0.2 * count <= irregular <= 0.8 * count
+
+    def test_samples_beyond_one_block_match_reference(self):
+        g, X, Y = _block_split(20)
+        checked = []
+        for seed in range(20):
+            got, ref = _sampled_and_reference(g, X, Y, 0.25, 1500, seed)
+            assert got == ref, seed
+            checked.append(got[2])
+        assert 1500 in checked  # regular through three blocks
+        assert any(512 < c < 1500 for c in checked)  # witness after the first block
 
     def test_validation(self):
         g = PartiteGraph.complete(2, 6)
