@@ -6,13 +6,8 @@ layer and three-round pipeline in `regularity`/`pipeline`, edge-coloured
 factor search in `transversal`, and the experiment CLI in `cli`.
 """
 
-from .bounds import (
-    chernoff_bound,
-    janson_lambda_delta,
-    janson_lower_bound,
-    talagrand_bound,
-)
-from .cliques import CliqueFamily, count_kr_induced, enumerate_kr, rooted_cliques
+from .bounds import chernoff_bound, janson_lambda_delta, janson_lower_bound
+from .cliques import CliqueFamily, enumerate_kr
 from .errors import (
     BalanceError,
     BalanceTuplesError,
@@ -29,7 +24,6 @@ from .graphs import (
     gen_min_degree_instance,
     gen_no_factor_witness,
     min_star_degree,
-    random_balanced_partition,
     read_graph_file,
     sparsify,
     split_rounds,
@@ -53,7 +47,6 @@ from .regularity import (
     check_regular_pair,
     gen_super_regular_instance,
     read_instance,
-    super_regularize,
     write_instance,
 )
 from .rng import RandomSeed, as_seed
@@ -75,7 +68,6 @@ from .transversal import (
     BpiTrialReport,
     GraphFamily,
     PermutationBundle,
-    SimpleGraph,
     TransversalFactor,
     bpi_min_degree_trial,
     build_b_pi,
@@ -83,7 +75,6 @@ from .transversal import (
     lift_factor,
     read_family,
     read_transversal_certificate,
-    reduce_nonpartite,
     sample_bundle,
     transversal_oracle,
     verify_transversal,

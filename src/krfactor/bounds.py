@@ -79,20 +79,3 @@ def janson_lower_bound(lambda_exp: float, delta_bar: float, a: float) -> float:
     if delta_bar <= 0:
         raise ValueError("delta_bar must be positive")
     return math.exp(-a * a * lambda_exp * lambda_exp / (2.0 * delta_bar))
-
-
-def talagrand_bound(a: float, median_m: float, change_c: float, proof_r: float) -> float:
-    """min(1, 2 * exp(-a^2 / (16 * proof_r * change_c^2 * median_m))).
-
-    change_c bounds the effect of one coordinate; proof_r is the
-    certificate-size factor.
-    """
-    if a < 0:
-        raise ValueError("a must be nonnegative")
-    if median_m <= 0:
-        raise ValueError("median_m must be positive")
-    if change_c <= 0:
-        raise ValueError("change_c must be positive")
-    if proof_r <= 0:
-        raise ValueError("proof_r must be positive")
-    return min(1.0, 2.0 * math.exp(-a * a / (16.0 * proof_r * change_c * change_c * median_m)))

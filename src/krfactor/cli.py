@@ -307,6 +307,8 @@ def _cmd_sweep(mode: str):
 def cmd_janson_report(args) -> int:
     if not 0.0 <= args.p <= 1.0:
         raise FileFormatError(f"p={args.p} outside [0, 1]")
+    if args.mc_trials < 0:
+        raise FileFormatError("--mc-trials must be nonnegative")
     g = read_graph_file(args.graph)
     family = enumerate_kr(g, max_cliques=args.max_cliques)
     lam, delta_bar = janson_lambda_delta(family, args.p)

@@ -44,7 +44,7 @@ def check_clique(g: PartiteGraph, K) -> None:
         if not 0 <= v < g.vertex_count:
             raise ValueError(f"clique {K}: vertex {v} out of range")
         if g.part_of(v) != slot:
-            raise ValueError(f"clique {K}: not one vertex per part in order")
+            raise ValueError(f"clique {K}: not one vertex per part, in part order")
     for a, b in combinations(K, 2):
         if not g.has_edge(a, b):
             raise ValueError(f"clique {K}: missing edge ({a}, {b})")
@@ -87,38 +87,3 @@ def enumerate_kr(g: PartiteGraph, *, max_cliques: int | None = None) -> CliqueFa
                 f"more than {max_cliques} cliques; raise max_cliques or use sampling"
             )
     return CliqueFamily(g, tuple(out))
-
-
-def rooted_cliques(g: PartiteGraph, v: int, *, max_cliques: int | None = None) -> CliqueFamily:
-    """The transversal cliques through vertex v, in enumeration order."""
-    if not 0 <= v < g.vertex_count:
-        raise ValueError(f"vertex {v} out of range")
-    allowed = [g.part_mask(i) for i in range(g.r)]
-    allowed[g.part_of(v)] = 1 << v
-    out = []
-    for K in _clique_stream(g, allowed):
-        out.append(K)
-        if max_cliques is not None and len(out) > max_cliques:
-            raise BudgetExceededError(
-                f"more than {max_cliques} rooted cliques; raise max_cliques"
-            )
-    return CliqueFamily(g, tuple(out))
-
-
-def count_kr_induced(g: PartiteGraph, subsets) -> int:
-    """Number of transversal cliques with the part-i vertex drawn from subsets[i]."""
-    subsets = list(subsets)
-    if len(subsets) != g.r:
-        raise ValueError(f"expected {g.r} subsets, got {len(subsets)}")
-    allowed = []
-    for i, xs in enumerate(subsets):
-        m = 0
-        for v in xs:
-            v = int(v)
-            if not 0 <= v < g.vertex_count:
-                raise ValueError(f"subset {i}: vertex {v} out of range")
-            if g.part_of(v) != i:
-                raise ValueError(f"subset {i}: vertex {v} belongs to part {g.part_of(v)}")
-            m |= 1 << v
-        allowed.append(m)
-    return sum(1 for _ in _clique_stream(g, allowed))

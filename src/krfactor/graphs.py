@@ -262,22 +262,6 @@ def gen_no_factor_witness(r: int, n: int, seed: RandomSeed | int) -> WitnessInst
     return WitnessInstance(PartiteGraph.from_masks(r, n, masks), v, j)
 
 
-def random_balanced_partition(
-    vertex_count: int, r: int, seed: RandomSeed | int
-) -> tuple[tuple[int, ...], ...]:
-    """Uniformly random partition of range(vertex_count) into r equal classes."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if vertex_count % r != 0:
-        raise ValueError(f"vertex count {vertex_count} not divisible by r={r}")
-    gen = as_seed(seed).generator()
-    perm = gen.permutation(vertex_count)
-    size = vertex_count // r
-    return tuple(
-        tuple(sorted(int(x) for x in perm[c * size : (c + 1) * size])) for c in range(r)
-    )
-
-
 def write_graph_file(g: PartiteGraph, path):
     """Plain-text graph: header line 'r n', then one 'u v' edge per line."""
     lines = [f"{g.r} {g.n}"]

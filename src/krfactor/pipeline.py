@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, islice
 
 from ._num import ffloor, mask_of
-from .cliques import _clique_stream
+from .cliques import _clique_stream, check_clique
 from .errors import BalanceError, BalanceTuplesError, BudgetExceededError, CoverError
 from .graphs import PartiteGraph, min_star_degree, split_rounds, sparsify
 from .regularity import PartitionedInstance, build_reduced_graph, residual_instance
@@ -156,12 +156,7 @@ class WeightAssignment:
         for K, w in self.omega.items():
             if w < 0:
                 raise ValueError(f"omega[{K}] negative")
-            for slot, v in enumerate(K):
-                if self.reduced.part_of(v) != slot:
-                    raise ValueError(f"omega key {K} is not in part order")
-            for a, b in combinations(K, 2):
-                if not self.reduced.has_edge(a, b):
-                    raise ValueError(f"omega key {K}: missing edge ({a}, {b})")
+            check_clique(self.reduced, K)
             for v in K:
                 implied[v] += w
         if list(self.lam) != implied:
@@ -481,8 +476,13 @@ def run_pipeline(
 
     The returned report carries per-stage diagnostics, the failing stage (if
     any), and on success the factor, verified in the union of the three
-    rounds' sparsifications.
+    rounds' sparsifications. Out-of-range mu or alpha raise ValueError before
+    any draw.
     """
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
     g = instance.host
     r, n, k = g.r, g.n, instance.params.k
     gamma = instance.params.gamma
@@ -548,7 +548,7 @@ def run_pipeline(
         cover = cover_exceptional(
             g, roots, mu, quotas, base.substream(1), p=p_round, allowed=bmask | wmask
         )
-    except (CoverError, ValueError) as exc:
+    except CoverError as exc:
         stages["cover"] = {"error": str(exc)}
         return fail("cover_exceptional", exc)
     k1 = cover.tiling

@@ -97,9 +97,6 @@ class PartitionedInstance:
                 if not (covered >> v) & 1:
                     raise ValueError(f"reserved vertex {v} is not in any cluster")
 
-    def cluster(self, i: int, c: int) -> tuple[int, ...]:
-        return self.clusters[i][c]
-
     def cluster_mask(self, i: int, c: int) -> int:
         return mask_of(self.clusters[i][c])
 
@@ -313,84 +310,6 @@ def check_regular_pair(
             )
             return RegPairReport(False, density, epsilon, "sampled", witness, start + t + 1)
     return RegPairReport(True, density, epsilon, "sampled", None, samples)
-
-
-class SuperRegularizeResult(NamedTuple):
-    clusters: tuple[tuple[int, ...], ...]
-    removed: tuple[tuple[int, ...], ...]
-
-
-def super_regularize(
-    g: PartiteGraph, clusters, epsilon: float, d: float
-) -> SuperRegularizeResult:
-    """Trim one cluster per part down to its high-cross-degree core.
-
-    Keeps exactly ceil((1 - (r-1)*epsilon) * size) vertices per cluster,
-    dropping the vertices whose degree into some sibling cluster falls below
-    (d - epsilon) * size first. Rejects when a cluster has too many such
-    low-degree vertices, reporting the counts.
-    """
-    clusters = [tuple(sorted(int(v) for v in cl)) for cl in clusters]
-    if len(clusters) != g.r:
-        raise ValueError(f"expected one cluster per part ({g.r})")
-    sizes = {len(cl) for cl in clusters}
-    if len(sizes) != 1:
-        raise ValueError("clusters must share one size")
-    size = sizes.pop()
-    if size == 0:
-        raise ValueError("clusters must be nonempty")
-    if epsilon <= 0 or (g.r - 1) * epsilon >= 1:
-        raise ValueError(f"need 0 < epsilon and (r-1)*epsilon < 1, got epsilon={epsilon}")
-    if not 0 < d <= 1:
-        raise ValueError("d must lie in (0, 1]")
-    for i, cl in enumerate(clusters):
-        for v in cl:
-            if g.part_of(v) != i:
-                raise ValueError(f"cluster {i}: vertex {v} outside part {i}")
-    keep = fceil((1 - (g.r - 1) * epsilon) * size)
-    cmasks = [mask_of(cl) for cl in clusters]
-    threshold = (d - epsilon) * size
-    good: list[list[int]] = []
-    for i, cl in enumerate(clusters):
-        ok = [
-            v
-            for v in cl
-            if all(
-                (g.adj[v] & cmasks[j]).bit_count() + 1e-9 >= threshold
-                for j in range(g.r)
-                if j != i
-            )
-        ]
-        good.append(ok)
-    shortfalls = [
-        f"cluster {i}: {size - len(ok)} low-degree vertices, {len(ok)} usable, need {keep}"
-        for i, ok in enumerate(good)
-        if len(ok) < keep
-    ]
-    if shortfalls:
-        raise ValueError("super-regularization failed: " + "; ".join(shortfalls))
-    kept, removed = [], []
-    for i, ok in enumerate(good):
-        others = [cmasks[j] for j in range(g.r) if j != i]
-        ranked = sorted(
-            ok,
-            key=lambda v: (-sum((g.adj[v] & om).bit_count() for om in others), v),
-        )
-        chosen = tuple(sorted(ranked[:keep]))
-        kept.append(chosen)
-        removed.append(tuple(v for v in clusters[i] if v not in set(chosen)))
-    floor = (d - g.r * epsilon) * keep
-    new_masks = [mask_of(cl) for cl in kept]
-    for i in range(g.r):
-        for j in range(g.r):
-            if i == j:
-                continue
-            for v in kept[i]:
-                if (g.adj[v] & new_masks[j]).bit_count() + 1e-9 < floor:
-                    raise RuntimeError(
-                        "internal: trimmed cluster lost the pair-degree guarantee"
-                    )
-    return SuperRegularizeResult(tuple(kept), tuple(removed))
 
 
 class ReducedGraphResult(NamedTuple):

@@ -21,58 +21,9 @@ from ._num import bit_indices, fceil
 from .cliques import _clique_stream
 from .errors import BudgetExceededError, FileFormatError
 from .exact_cover import ExactCover
-from .graphs import (
-    PartiteGraph,
-    min_star_degree,
-    random_balanced_partition,
-    read_graph_file,
-    write_graph_file,
-)
+from .graphs import PartiteGraph, min_star_degree, read_graph_file, write_graph_file
 from .rng import RandomSeed, as_seed
 from .solver import verify_factor
-
-
-class SimpleGraph:
-    """Plain undirected graph on range(n), bitmask adjacency, no loops."""
-
-    __slots__ = ("n", "adj")
-
-    def __init__(self, n: int, edges=()):
-        if n < 1:
-            raise ValueError("need at least one vertex")
-        self.n = int(n)
-        masks = [0] * self.n
-        for e in edges:
-            u, v = e
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}): vertex id out of range")
-            if u == v:
-                raise ValueError(f"loop at {u}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        self.adj = tuple(masks)
-
-    @classmethod
-    def from_masks(cls, n: int, masks) -> "SimpleGraph":
-        g = cls.__new__(cls)
-        g.n = int(n)
-        g.adj = tuple(masks)
-        return g
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (self.adj[u] >> v) & 1 == 1
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def min_degree(self) -> int:
-        return min(self.degree(v) for v in range(self.n))
-
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
-
-    def __repr__(self) -> str:
-        return f"SimpleGraph(n={self.n}, edges={self.edge_count()})"
 
 
 def _pair_rank(r: int, i: int, j: int) -> int:
@@ -80,24 +31,11 @@ def _pair_rank(r: int, i: int, j: int) -> int:
     return math.comb(r, 2) - math.comb(r - i, 2) + (j - i - 1)
 
 
-def _check_members(r: int, n: int, members: tuple, fits, expected: str) -> None:
-    """Shape checks shared by GraphFamily and reduce_nonpartite's input."""
-    if r < 2 or n < 1:
-        raise ValueError("need r >= 2 and n >= 1")
-    expect = n * math.comb(r, 2)
-    if len(members) != expect:
-        raise ValueError(f"family needs {expect} members, got {len(members)}")
-    for idx, g in enumerate(members):
-        if not fits(g):
-            raise ValueError(f"member {idx}: expected {expected}")
-
-
 @dataclass(frozen=True)
 class GraphFamily:
     """n * C(r, 2) graphs: member block [rank*n, (rank+1)*n) serves pair rank.
 
-    Every member is a PartiteGraph with the family's r and n; plain graphs
-    enter through reduce_nonpartite.
+    Every member is a PartiteGraph with the family's r and n.
     """
 
     r: int
@@ -106,31 +44,19 @@ class GraphFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "graphs", tuple(self.graphs))
-        _check_members(
-            self.r,
-            self.n,
-            self.graphs,
-            lambda g: isinstance(g, PartiteGraph) and g.r == self.r and g.n == self.n,
-            f"a PartiteGraph with r={self.r}, n={self.n}",
-        )
+        r, n = self.r, self.n
+        if r < 2 or n < 1:
+            raise ValueError("need r >= 2 and n >= 1")
+        expect = n * math.comb(r, 2)
+        if len(self.graphs) != expect:
+            raise ValueError(f"family needs {expect} members, got {len(self.graphs)}")
+        for idx, g in enumerate(self.graphs):
+            if not (isinstance(g, PartiteGraph) and g.r == r and g.n == n):
+                raise ValueError(f"member {idx}: expected a PartiteGraph with r={r}, n={n}")
 
     @property
     def size(self) -> int:
         return len(self.graphs)
-
-    def block_offset(self, i: int, j: int) -> int:
-        if not 0 <= i < j < self.r:
-            raise ValueError(f"need 0 <= i < j < r, got ({i}, {j})")
-        return _pair_rank(self.r, i, j) * self.n
-
-    def governing_pair(self, index: int) -> tuple[int, int]:
-        if not 0 <= index < self.size:
-            raise ValueError(f"member index {index} out of range")
-        rank = index // self.n
-        for i, j in combinations(range(self.r), 2):
-            if _pair_rank(self.r, i, j) == rank:
-                return (i, j)
-        raise AssertionError
 
 
 @dataclass(frozen=True)
@@ -314,100 +240,6 @@ def bpi_min_degree_trial(
         if d >= threshold - 1e-9:
             passes += 1
     return BpiTrialReport(passes / trials, passes, trials, threshold, min_obs)
-
-
-class ReduceResult(NamedTuple):
-    partition: tuple[tuple[int, ...], ...]
-    family: GraphFamily
-    attempts: int
-
-
-def reduce_nonpartite(
-    r: int,
-    n: int,
-    members,
-    gamma: float,
-    seed: RandomSeed | int,
-    *,
-    max_attempts: int = 100,
-) -> ReduceResult:
-    """Split the n * C(r, 2) plain members' common vertex set (N = r*n
-    vertices) into r balanced classes keeping all cross-class degrees at
-    least (1 - 1/r + gamma/2) * n, then relabel every member to the induced
-    partite geometry (intra-class pairs dropped).
-
-    Members must satisfy the plain min-degree floor (1 - 1/r + gamma) * N.
-    """
-    members = tuple(members)
-    big_n = r * n
-    _check_members(
-        r,
-        n,
-        members,
-        lambda g: isinstance(g, SimpleGraph) and g.n == big_n,
-        f"a SimpleGraph on {big_n} vertices",
-    )
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
-    floor = fceil((1 - 1 / r + gamma) * big_n)
-    for idx, g in enumerate(members):
-        d = g.min_degree()
-        if d < floor:
-            raise ValueError(
-                f"member {idx}: min degree {d} below the required floor {floor}"
-            )
-    need = (1 - 1 / r + gamma / 2) * n
-    base = as_seed(seed)
-    worst = None
-    for attempt in range(max_attempts):
-        classes = random_balanced_partition(big_n, r, base.substream(attempt))
-        cmasks = [0] * r
-        cls_of = [0] * big_n
-        for c, cls in enumerate(classes):
-            for v in cls:
-                cmasks[c] |= 1 << v
-                cls_of[v] = c
-        ok = True
-        attempt_worst = n
-        for g in members:
-            for v in range(big_n):
-                av = g.adj[v]
-                for c in range(r):
-                    if c == cls_of[v]:
-                        continue
-                    d = (av & cmasks[c]).bit_count()
-                    attempt_worst = min(attempt_worst, d)
-                    if d + 1e-9 < need:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        worst = attempt_worst if worst is None else max(worst, attempt_worst)
-        if not ok:
-            continue
-        new_id = [0] * big_n
-        for c, cls in enumerate(classes):
-            for pos, v in enumerate(cls):
-                new_id[v] = c * n + pos
-        relabeled = []
-        for g in members:
-            masks = [0] * big_n
-            for v in range(big_n):
-                m = 0
-                for c in range(r):
-                    if c == cls_of[v]:
-                        continue
-                    for u in bit_indices(g.adj[v] & cmasks[c]):
-                        m |= 1 << new_id[u]
-                masks[new_id[v]] = m
-            relabeled.append(PartiteGraph.from_masks(r, n, masks))
-        return ReduceResult(classes, GraphFamily(r, n, tuple(relabeled)), attempt + 1)
-    raise RuntimeError(
-        f"no balanced partition met the cross-class degree threshold {need:.3f} "
-        f"in {max_attempts} attempts (best worst-case degree seen: {worst})"
-    )
 
 
 def transversal_oracle(family: GraphFamily):

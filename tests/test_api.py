@@ -24,7 +24,6 @@ PUBLIC_API = [
     "RandomSeed",
     "RegPairReport",
     "RegularityParams",
-    "SimpleGraph",
     "SpreadEstimate",
     "ThresholdParams",
     "ThresholdResult",
@@ -41,7 +40,6 @@ PUBLIC_API = [
     "check_regular_pair",
     "chernoff_bound",
     "count_factors",
-    "count_kr_induced",
     "cover_exceptional",
     "enumerate_kr",
     "estimate_spread",
@@ -54,22 +52,17 @@ PUBLIC_API = [
     "janson_lower_bound",
     "lift_factor",
     "min_star_degree",
-    "random_balanced_partition",
     "read_factor_certificate",
     "read_family",
     "read_graph_file",
     "read_instance",
     "read_transversal_certificate",
-    "reduce_nonpartite",
-    "rooted_cliques",
     "run_pipeline",
     "sample_bundle",
     "sample_factor_uniform",
     "solve_restricted",
     "sparsify",
     "split_rounds",
-    "super_regularize",
-    "talagrand_bound",
     "threshold_p",
     "transversal_oracle",
     "verify_factor",

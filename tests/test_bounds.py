@@ -13,7 +13,6 @@ from krfactor import (
     janson_lambda_delta,
     janson_lower_bound,
     sparsify,
-    talagrand_bound,
 )
 from oracles import brute_janson
 
@@ -120,30 +119,3 @@ class TestJansonLowerBound:
         loose = janson_lower_bound(lambda_exp=4.0, delta_bar=16.0, a=0.5)
         tight = janson_lower_bound(lambda_exp=4.0, delta_bar=4.0, a=0.5)
         assert tight < loose
-
-
-class TestTalagrand:
-    def test_reference_values(self):
-        hit_one = talagrand_bound(a=0.0, median_m=5.0, change_c=1.0, proof_r=2.0)
-        assert hit_one == 1.0
-        val = talagrand_bound(a=4.0, median_m=1.0, change_c=1.0, proof_r=1.0)
-        assert math.isclose(val, 2.0 * math.exp(-1.0), rel_tol=1e-12)
-
-    def test_domains(self):
-        with pytest.raises(TypeError):
-            talagrand_bound(a=1.0, median_m=1.0, change_c=1.0)
-        with pytest.raises(ValueError):
-            talagrand_bound(a=-1.0, median_m=1.0, change_c=1.0, proof_r=1.0)
-        with pytest.raises(ValueError):
-            talagrand_bound(a=1.0, median_m=0.0, change_c=1.0, proof_r=1.0)
-        with pytest.raises(ValueError):
-            talagrand_bound(a=1.0, median_m=1.0, change_c=-1.0, proof_r=1.0)
-        with pytest.raises(ValueError):
-            talagrand_bound(a=1.0, median_m=1.0, change_c=1.0, proof_r=0.0)
-
-    def test_decreasing_in_deviation(self):
-        vals = [
-            talagrand_bound(a=a, median_m=10.0, change_c=1.0, proof_r=3.0)
-            for a in (5.0, 10.0, 20.0, 40.0)
-        ]
-        assert all(x >= y for x, y in zip(vals, vals[1:]))

@@ -242,6 +242,16 @@ class TestJansonReport:
         assert code == 2
         assert "outside" in err
 
+    def test_negative_mc_trials_exits_2(self, capsys, k222_path):
+        code, out, err = run_cli(
+            ["janson-report", "--graph", k222_path, "--p", "0.5",
+             "--mc-trials", "-3"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--mc-trials" in err
+
     def test_missing_graph_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             ["janson-report", "--graph", str(tmp_path / "nope.json"), "--p", "0.5"],
@@ -318,6 +328,21 @@ class TestPipelineRun:
         assert code == 1
         assert out == ""
         assert err == "error: internal: x\n"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--mu", "0", "mu must be positive"), ("--alpha", "-1", "alpha must be nonnegative")],
+        ids=["mu", "alpha"],
+    )
+    def test_out_of_range_mu_alpha_exit_2(self, flag, value, message, capsys):
+        code, out, err = run_cli(
+            ["pipeline-run", "--r", "3", "--k", "1", "--cluster-size", "20",
+             "--d", "0.8", "--b-size", "3", "--p", "0.9", flag, value],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_needs_instance_or_full_shape(self, capsys):
         code, _, err = run_cli(["pipeline-run", "--p", "1", "--r", "3"], capsys)

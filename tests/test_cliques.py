@@ -6,10 +6,7 @@ from krfactor import (
     BudgetExceededError,
     CliqueFamily,
     PartiteGraph,
-    count_kr_induced,
     enumerate_kr,
-    gen_no_factor_witness,
-    rooted_cliques,
     sparsify,
 )
 from oracles import brute_cliques
@@ -45,46 +42,6 @@ def test_enumerate_budget_guard():
     with pytest.raises(BudgetExceededError):
         enumerate_kr(g, max_cliques=7)
     assert len(enumerate_kr(g, max_cliques=8)) == 8
-
-
-def test_rooted_cliques():
-    g = PartiteGraph.complete(3, 2)
-    fam = rooted_cliques(g, 0)
-    assert len(fam) == 4
-    assert all(K[0] == 0 for K in fam)
-    wit = gen_no_factor_witness(3, 2, 0)
-    assert len(rooted_cliques(wit.graph, wit.vertex)) == 0
-    with pytest.raises(ValueError):
-        rooted_cliques(g, 6)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.integers(0, 5))
-def test_rooted_is_the_root_filter_of_enumerate(seed, v):
-    g = sparsify(PartiteGraph.complete(3, 2), 0.6, seed)
-    expect = [K for K in enumerate_kr(g) if v in K]
-    assert list(rooted_cliques(g, v)) == expect
-
-
-class TestCountInduced:
-    def test_full_and_single(self):
-        g = PartiteGraph.complete(3, 2)
-        assert count_kr_induced(g, [g.part_range(i) for i in range(3)]) == 8
-        assert count_kr_induced(g, [[0], [2], [4]]) == 1
-        assert count_kr_induced(g, [[0], [], [4]]) == 0
-
-    def test_sparse(self):
-        g = PartiteGraph(3, 2, [(0, 2), (0, 4), (2, 4)])
-        assert count_kr_induced(g, [[0, 1], [2, 3], [4, 5]]) == 1
-
-    def test_rejects_misplaced_vertices(self):
-        g = PartiteGraph.complete(3, 2)
-        with pytest.raises(ValueError):
-            count_kr_induced(g, [[2], [0], [4]])
-        with pytest.raises(ValueError):
-            count_kr_induced(g, [[0], [2]])
-        with pytest.raises(ValueError):
-            count_kr_induced(g, [[0], [2], [9]])
 
 
 class TestCliqueFamily:

@@ -9,12 +9,11 @@ from krfactor import (
     PartiteGraph,
     RandomSeed,
     ThresholdParams,
+    enumerate_kr,
     gen_min_degree_instance,
     gen_no_factor_witness,
     min_star_degree,
-    random_balanced_partition,
     read_graph_file,
-    rooted_cliques,
     sparsify,
     split_rounds,
     threshold_p,
@@ -204,7 +203,7 @@ class TestWitness:
         wit = gen_no_factor_witness(3, 4, 11)
         g = wit.graph
         assert g.degree(wit.vertex, part=wit.missing_part) == 0
-        assert len(rooted_cliques(g, wit.vertex)) == 0
+        assert all(wit.vertex not in K for K in enumerate_kr(g))
         # everything else is still complete, except the reverse side of the cut
         others = [v for v in range(g.vertex_count) if v != wit.vertex]
         for v in others:
@@ -216,35 +215,6 @@ class TestWitness:
 
     def test_deterministic(self):
         assert gen_no_factor_witness(3, 3, 2) == gen_no_factor_witness(3, 3, 2)
-
-
-class TestRandomBalancedPartition:
-    def test_shape_and_coverage(self):
-        classes = random_balanced_partition(12, 3, 0)
-        assert len(classes) == 3
-        assert all(len(c) == 4 for c in classes)
-        assert sorted(v for c in classes for v in c) == list(range(12))
-
-    def test_deterministic(self):
-        assert random_balanced_partition(12, 3, 5) == random_balanced_partition(12, 3, 5)
-
-    def test_rejects_indivisible(self):
-        with pytest.raises(ValueError):
-            random_balanced_partition(10, 3, 0)
-        with pytest.raises(ValueError):
-            random_balanced_partition(10, 0, 0)
-
-    def test_coclass_frequency(self):
-        # P(vertices 0 and 1 land together) = (size-1)/(total-1) = 3/11
-        trials = 4000
-        base = RandomSeed(17)
-        hits = 0
-        for t in range(trials):
-            classes = random_balanced_partition(12, 3, base.substream(t))
-            hits += any(0 in c and 1 in c for c in classes)
-        p = 3 / 11
-        band = 3 * math.sqrt(p * (1 - p) / trials)
-        assert abs(hits / trials - p) <= band
 
 
 class TestGraphFiles:

@@ -16,7 +16,6 @@ from krfactor import (
     gen_super_regular_instance,
     read_instance,
     sparsify,
-    super_regularize,
     write_instance,
 )
 from krfactor.regularity import residual_instance
@@ -88,7 +87,7 @@ class TestRegularityParams:
 class TestPartitionedInstance:
     def test_masks_and_accessors(self):
         inst = _hand_instance()
-        assert inst.cluster(0, 1) == (2, 3)
+        assert inst.clusters[0][1] == (2, 3)
         assert inst.cluster_mask(1, 0) == 0b00110000
         assert inst.exceptional_mask() == 0
         assert inst.reserved_mask() == 0
@@ -190,19 +189,9 @@ class TestCheckRegularPair:
         with pytest.raises(ValueError, match="exhaustive mode"):
             check_regular_pair(g, range(13), range(13, 26), 0.3, mode="exhaustive")
 
-    def test_sampled_witnesses_are_exact(self):
-        edges = [(x, y) for x in range(10) for y in range(20, 30)]
-        edges += [(x, y) for x in range(10, 20) for y in range(30, 40)]
-        g = PartiteGraph(2, 20, edges)
-        rep = check_regular_pair(g, range(20), range(20, 40), 0.35, mode="sampled", samples=400, seed=5)
-        if rep.witness is not None:
-            A, B, obs = rep.witness
-            assert math.isclose(obs, pair_density(g, A, B), abs_tol=1e-12)
-            assert abs(obs - rep.density) >= 0.35
-
     def test_block_split_is_found_by_sampling(self):
-        # a wider margin than the 0.35 above: there the sampled draws for
-        # seeds 0-19 find no deviating subset pair of this split at all
+        # at epsilon 0.35 the sampled draws for seeds 0-19 find no deviating
+        # subset pair of this split at all, so the margin here is wider
         g, X, Y = _block_split(20)
         for seed in range(20):
             rep = check_regular_pair(g, X, Y, 0.15, mode="sampled", seed=seed)
@@ -246,58 +235,6 @@ class TestCheckRegularPair:
             check_regular_pair(g, [0], [6], 0.3, mode="guess")
         with pytest.raises(ValueError):
             check_regular_pair(g, range(6), range(6, 12), 0.3, mode="sampled", samples=0)
-
-
-class TestSuperRegularize:
-    def test_complete_trims_to_kept_core(self):
-        g = PartiteGraph.complete(3, 9)
-        clusters = [list(g.part_range(i)) for i in range(3)]
-        res = super_regularize(g, clusters, 0.1, 0.9)
-        assert all(len(cl) == 8 for cl in res.clusters)
-        assert all(len(rm) == 1 for rm in res.removed)
-        for kept, rm in zip(res.clusters, res.removed):
-            assert set(kept) | set(rm) == set(kept).union(rm)
-            assert len(set(kept) & set(rm)) == 0
-
-    def test_keep_size_avoids_float_dust(self):
-        g = PartiteGraph.complete(3, 40)
-        clusters = [list(g.part_range(i)) for i in range(3)]
-        res = super_regularize(g, clusters, 0.1, 0.9)
-        # (1 - 2*0.1) * 40 must count as exactly 32
-        assert all(len(cl) == 32 for cl in res.clusters)
-
-    def test_low_degree_vertices_go_first(self):
-        g = PartiteGraph.complete(2, 6)
-        masks = list(g.adj)
-        for y in range(7, 12):  # vertex 0 keeps a single edge (to 6)
-            masks[0] &= ~(1 << y)
-            masks[y] &= ~1
-        g = PartiteGraph.from_masks(2, 6, masks)
-        res = super_regularize(g, [range(6), range(6, 12)], 0.2, 0.9)
-        assert 0 not in res.clusters[0]
-
-    def test_shortfall_is_rejected_with_counts(self):
-        g = PartiteGraph.complete(2, 6)
-        masks = list(g.adj)
-        for v in (0, 1):
-            for y in (10, 11):
-                masks[v] &= ~(1 << y)
-                masks[y] &= ~(1 << v)
-        g = PartiteGraph.from_masks(2, 6, masks)
-        with pytest.raises(ValueError, match="low-degree"):
-            super_regularize(g, [range(6), range(6, 12)], 0.1, 0.9)
-
-    def test_validation(self):
-        g = PartiteGraph.complete(3, 4)
-        cl = [list(g.part_range(i)) for i in range(3)]
-        with pytest.raises(ValueError, match="epsilon"):
-            super_regularize(g, cl, 0.5, 0.9)
-        with pytest.raises(ValueError, match="one size"):
-            super_regularize(g, [cl[0], cl[1], cl[2][:2]], 0.1, 0.9)
-        with pytest.raises(ValueError, match="per part"):
-            super_regularize(g, cl[:2], 0.1, 0.9)
-        with pytest.raises(ValueError, match="outside part"):
-            super_regularize(g, [cl[1], cl[0], cl[2]], 0.1, 0.9)
 
 
 class TestReducedGraph:

@@ -11,7 +11,6 @@ from krfactor import (
     GraphFamily,
     PartiteGraph,
     PermutationBundle,
-    SimpleGraph,
     TransversalFactor,
     bpi_min_degree_trial,
     build_b_pi,
@@ -20,7 +19,6 @@ from krfactor import (
     lift_factor,
     read_family,
     read_transversal_certificate,
-    reduce_nonpartite,
     sample_bundle,
     sparsify,
     transversal_oracle,
@@ -35,48 +33,24 @@ def complete_family(r, n):
     return GraphFamily(r, n, tuple(PartiteGraph.complete(r, n) for _ in range(size)))
 
 
-def complete_plain_members(r, n):
-    full = SimpleGraph(r * n, combinations(range(r * n), 2))
-    return (full,) * (n * math.comb(r, 2))
-
-
 def all_bundles(r, n):
     for perms in product(permutations(range(n)), repeat=r):
         yield PermutationBundle(tuple(perms))
 
 
-class TestSimpleGraph:
-    def test_basics(self):
-        g = SimpleGraph(4, [(0, 1), (1, 2)])
-        assert g.has_edge(0, 1) and g.has_edge(2, 1)
-        assert not g.has_edge(0, 3)
-        assert g.degree(1) == 2
-        assert g.min_degree() == 0
-        assert g.edge_count() == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="loop"):
-            SimpleGraph(3, [(1, 1)])
-        with pytest.raises(ValueError, match="out of range"):
-            SimpleGraph(3, [(0, 5)])
-        with pytest.raises(ValueError):
-            SimpleGraph(0)
-
-
 class TestGraphFamily:
     def test_block_layout(self):
+        # under identity permutations, source position s of pair (i, j)
+        # reads member rank(i, j) * n + s: blocks of n in pair-rank order
         fam = complete_family(3, 2)
         assert fam.size == 6
-        assert fam.block_offset(0, 1) == 0
-        assert fam.block_offset(0, 2) == 2
-        assert fam.block_offset(1, 2) == 4
-        assert fam.governing_pair(0) == (0, 1)
-        assert fam.governing_pair(3) == (0, 2)
-        assert fam.governing_pair(5) == (1, 2)
-        with pytest.raises(ValueError):
-            fam.block_offset(1, 1)
-        with pytest.raises(ValueError):
-            fam.governing_pair(6)
+        ident = PermutationBundle(((0, 1),) * 3)
+        served = {
+            governing_index(fam, ident, i * 2 + s, j * 2): (i, j)
+            for i, j in combinations(range(3), 2)
+            for s in range(2)
+        }
+        assert served == {0: (0, 1), 1: (0, 1), 2: (0, 2), 3: (0, 2), 4: (1, 2), 5: (1, 2)}
 
     def test_validation(self):
         g = PartiteGraph.complete(3, 2)
@@ -259,55 +233,6 @@ class TestBpiTrial:
             bpi_min_degree_trial(fam, 0.0, 5, 0)
 
 
-class TestReduceNonpartite:
-    def test_complete_plain_family(self):
-        res = reduce_nonpartite(3, 2, complete_plain_members(3, 2), 0.15, 0)
-        assert res.attempts == 1
-        assert isinstance(res.family, GraphFamily)
-        assert [len(c) for c in res.partition] == [2, 2, 2]
-        assert all(g == PartiteGraph.complete(3, 2) for g in res.family.graphs)
-
-    def test_relabeling_preserves_cross_edges(self):
-        base = SimpleGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-        res = reduce_nonpartite(2, 2, (base, base), 0.2, 3)
-        new_id = {}
-        for c, cls in enumerate(res.partition):
-            for pos, v in enumerate(cls):
-                new_id[v] = c * 2 + pos
-        for g, h in zip((base, base), res.family.graphs):
-            for u in range(4):
-                for v in range(u + 1, 4):
-                    cu = next(c for c, cls in enumerate(res.partition) if u in cls)
-                    cv = next(c for c, cls in enumerate(res.partition) if v in cls)
-                    if cu == cv:
-                        continue
-                    assert h.has_edge(new_id[u], new_id[v]) == g.has_edge(u, v)
-
-    def test_partite_family_rejected(self):
-        g = PartiteGraph.complete(3, 2)
-        with pytest.raises(ValueError, match="member 0: expected a SimpleGraph on 6 vertices"):
-            reduce_nonpartite(3, 2, (g,) * 6, 0.5, 0)
-
-    def test_member_shape_checked(self):
-        plain = complete_plain_members(3, 2)
-        with pytest.raises(ValueError, match="needs 6 members, got 5"):
-            reduce_nonpartite(3, 2, plain[:5], 0.15, 0)
-        with pytest.raises(ValueError, match="member 5: expected a SimpleGraph"):
-            reduce_nonpartite(3, 2, plain[:5] + (SimpleGraph(4),), 0.15, 0)
-        with pytest.raises(ValueError, match="r >= 2"):
-            reduce_nonpartite(1, 2, (), 0.15, 0)
-
-    def test_member_floor_enforced(self):
-        full = SimpleGraph(4, combinations(range(4), 2))
-        weak = SimpleGraph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError, match="member 1"):
-            reduce_nonpartite(2, 2, (full, weak), 0.2, 0)
-
-    def test_attempt_exhaustion(self):
-        with pytest.raises(RuntimeError, match="no balanced partition"):
-            reduce_nonpartite(2, 2, complete_plain_members(2, 2), 0.2, 0, max_attempts=0)
-
-
 class TestOracle:
     def test_complete_family(self):
         fam = complete_family(3, 2)
@@ -381,9 +306,10 @@ class TestFamilyFiles:
             read_family(tmp_path / "nowhere" / "manifest.json")
 
     def test_plain_family_not_serializable(self, tmp_path):
-        # plain members never form a GraphFamily, so there is nothing to write
+        # plain adjacency masks never form a GraphFamily, so there is nothing to write
+        plain = (PartiteGraph.complete(2, 2).adj,) * 2
         with pytest.raises(ValueError, match="expected a PartiteGraph"):
-            write_family(GraphFamily(2, 2, complete_plain_members(2, 2)), tmp_path)
+            write_family(GraphFamily(2, 2, plain), tmp_path)
         assert not (tmp_path / "manifest.json").exists()
 
 
