@@ -109,7 +109,10 @@ def _transversal_trial(task) -> bool | None:
         factor = find_factor(sparsify(aux.graph, p, base.substream(1)))
         if factor is None:
             return False
-        lifted = lift_factor(aux, factor)
+        try:
+            lifted = lift_factor(aux, factor)
+        except ValueError as exc:  # find_factor's own answer, so not bad input
+            raise RuntimeError(f"internal: {exc}") from exc
         ok, _ = verify_transversal(family, lifted)
         return ok
     except BudgetExceededError:

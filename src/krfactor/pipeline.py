@@ -7,18 +7,20 @@ computes integer clique weights on the reduced cluster graph and extracts
 that many disjoint cliques per cluster tuple from the second, drawing
 replacements from the reserve, so every cluster shrinks to a common residue
 target. Round 3 finishes each cluster tuple with an exact factor search on
-the third. The assembled factor is verified in the union of the three
-sparsifications, the pipeline's G(p).
+the third; a tuple it cannot finish sends round 2 back for another random
+choice of cliques, up to ROUND2_ATTEMPTS choices. The assembled factor is
+verified in the union of the three sparsifications, the pipeline's G(p).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations, islice
 
-from ._num import ffloor, mask_of
+from ._num import bit_indices, ffloor, mask_of
 from .cliques import _clique_stream, check_clique
 from .errors import BalanceError, BalanceTuplesError, BudgetExceededError, CoverError
 from .graphs import PartiteGraph, min_star_degree, split_rounds, sparsify
@@ -30,6 +32,9 @@ from .solver import (
     solve_restricted,
     verify_factor,
 )
+
+
+ROUND2_ATTEMPTS = 5  # round-2 clique choices tried before round 3 gives up
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,11 @@ def cover_exceptional(
     Candidates for a root are the lexicographically first floor(mu * N^(r-1))
     transversal cliques of `g` through it inside `allowed` (N = |allowed|).
     Candidates touching already-used vertices, later roots, or saturated
-    quota sets are discarded; the first remaining candidate that is a clique
-    of `sparsify(g, p, seed)` is taken, and the returned tiling's host is that
-    sparsified graph. A quota set
+    quota sets are discarded. The rest are ordered by the summed usage of the
+    quota sets their vertices lie in, least used first and lexicographically
+    on ties, so the roots spread over the clusters; the first of them that is
+    a clique of `sparsify(g, p, seed)` is taken, and the returned tiling's
+    host is that sparsified graph. A quota set
     saturates once its usage exceeds 4*r*mu*|X_s| - 1 (slightly stricter than
     the exact threshold when it is fractional), which caps final usage at
     4*r*mu*|X_s| + r - 2.
@@ -77,15 +84,21 @@ def cover_exceptional(
             raise ValueError(f"root {v} outside the allowed set")
     qmasks = []
     qsizes = []
+    quota_of = [len(quotas)] * g.vertex_count  # quota set per vertex; none -> past the end
     taken = 0
     root_mask = mask_of(roots)
     for s, xs in enumerate(quotas):
-        m = mask_of(int(v) for v in xs)
+        xs = [int(v) for v in xs]
+        m = mask_of(xs)
+        if m >> g.vertex_count:
+            raise ValueError(f"quota set {s} has a vertex out of range")
         if m & root_mask:
             raise ValueError(f"quota set {s} contains a root")
         if m & taken:
             raise ValueError(f"quota set {s} overlaps another quota set")
         taken |= m
+        for u in xs:
+            quota_of[u] = s
         qmasks.append(m)
         qsizes.append(m.bit_count())
     bigN = allowed.bit_count()
@@ -115,8 +128,15 @@ def cover_exceptional(
         cand = list(islice(_clique_stream(g, part_allowed), cap))
         if len(cand) < cap:
             warnings.append(f"root {v}: only {len(cand)} candidates (cap {cap})")
-        blocked = used | suffix[idx + 1] | saturated
-        survivors = [K for K in cand if not mask_of(K) & blocked]
+        # a candidate's key sums its vertices' quota usage; blocked vertices weigh inf
+        level = usage + [0]
+        load = [level[s] for s in quota_of]
+        for u in bit_indices(used | suffix[idx + 1] | saturated):
+            load[u] = math.inf
+        keys = [sum(map(load.__getitem__, K)) for K in cand]
+        # stable sort of ascending indices: ties stay lexicographic
+        order = sorted((i for i, key in enumerate(keys) if key < math.inf), key=keys.__getitem__)
+        survivors = [cand[i] for i in order]
         pick = None
         for K in survivors:
             if all(gp.has_edge(a, b) for a, b in combinations(K, 2)):
@@ -596,39 +616,57 @@ def run_pipeline(
     }
     inst2 = residual_instance(inst_w, used1)
     g2 = sparsify(g, p_round, base.substream(3))
-    try:
-        k2 = balance_tuples(
-            g2, inst2, wa.omega, target, base.substream(4), max_rows=max_rows
-        )
-    except (BalanceTuplesError, BudgetExceededError) as exc:
-        stages["residue"] = {"target": target, "error": str(exc)}
-        return fail("balance_tuples", exc)
-    stages["residue"] = {"target": target, "cliques": len(k2)}
-    # --- round 3: finish each cluster tuple --------------------------------
-    used2 = used1 | k2.covered_mask
     g3 = sparsify(g, p_round, base.substream(5))
-    k3: list[tuple[int, ...]] = []
-    tuple_sizes = []
-    for c in range(k):
-        masks = [instance.cluster_mask(i, c) & ~used2 for i in range(r)]
-        sizes = [m.bit_count() for m in masks]
-        if sizes != [target] * r:
-            return fail(
-                "round3", f"internal: tuple {c} residues {sizes} != target {target}"
-            )
-        if target == 0:
-            tuple_sizes.append(0)
-            continue
+    # a residue that round 3 cannot finish sends round 2 back for another
+    # choice of cliques; G2 and G3 stay fixed, only the choice is redrawn
+    for attempt in range(ROUND2_ATTEMPTS):
+        choice = base.substream(4)
+        if attempt:
+            choice = choice.substream(attempt)
         try:
-            sol = solve_restricted(g3, masks, max_rows=max_rows)
-        except BudgetExceededError as exc:
-            stages["round3"] = {"error": str(exc)}
-            return fail("round3", exc)
-        if sol is None:
-            stages["round3"] = {"failed_tuple": c, "tuple_sizes": tuple_sizes}
-            return fail("round3", f"no factor found on cluster tuple {c}")
-        k3.extend(sol)
-        tuple_sizes.append(len(sol))
+            k2 = balance_tuples(g2, inst2, wa.omega, target, choice, max_rows=max_rows)
+        except (BalanceTuplesError, BudgetExceededError) as exc:
+            if attempt:
+                # a redraw that cannot balance is one more spent choice; the
+                # strand of the last round 3 stands
+                stages["residue"]["attempts"] = attempt + 1
+                continue
+            stages["residue"] = {"target": target, "attempts": 1, "error": str(exc)}
+            return fail("balance_tuples", exc)
+        stages["residue"] = {"target": target, "cliques": len(k2), "attempts": attempt + 1}
+        # --- round 3: finish each cluster tuple ----------------------------
+        used2 = used1 | k2.covered_mask
+        k3: list[tuple[int, ...]] = []
+        tuple_sizes = []
+        stranded = None
+        for c in range(k):
+            masks = [instance.cluster_mask(i, c) & ~used2 for i in range(r)]
+            sizes = [m.bit_count() for m in masks]
+            if sizes != [target] * r:
+                return fail(
+                    "round3", f"internal: tuple {c} residues {sizes} != target {target}"
+                )
+            if target == 0:
+                tuple_sizes.append(0)
+                continue
+            try:
+                sol = solve_restricted(g3, masks, max_rows=max_rows)
+            except BudgetExceededError as exc:
+                stages["round3"] = {"error": str(exc)}
+                return fail("round3", exc)
+            if sol is None:
+                stranded = c
+                break
+            k3.extend(sol)
+            tuple_sizes.append(len(sol))
+        if stranded is None:
+            break
+    if stranded is not None:
+        stages["round3"] = {"failed_tuple": stranded, "tuple_sizes": tuple_sizes}
+        return fail(
+            "round3",
+            f"no factor found on cluster tuple {stranded} after {ROUND2_ATTEMPTS} round-2 choices",
+        )
     stages["round3"] = {"tuples": k, "cliques": len(k3), "per_tuple": tuple_sizes}
     # --- union and independent verification in G1 ∪ G2 ∪ G3 ----------------
     cliques = tuple(sorted(k1.cliques + k2.cliques + tuple(k3)))

@@ -145,7 +145,7 @@ def gen_super_regular_instance(
     core = k * cluster_size
     n = core + b_per
     base = as_seed(seed)
-    masks = [0] * (r * n)
+    adj = np.zeros((r * n, r * n), dtype=bool)
     densities: dict[tuple[int, int, int, int], float] = {}
     for rank, (i, j) in enumerate(combinations(range(r), 2)):
         gen = base.substream(rank).generator()
@@ -162,12 +162,8 @@ def gen_super_regular_instance(
                     cj * cluster_size : (cj + 1) * cluster_size,
                 ]
                 densities[(i, ci, j, cj)] = float(block.sum()) / (cluster_size**2)
-        for u_loc in range(n):
-            row = np.packbits(bools[u_loc], bitorder="little").tobytes()
-            masks[i * n + u_loc] |= int.from_bytes(row, "little") << (j * n)
-        for v_loc in range(n):
-            col = np.packbits(bools[:, v_loc], bitorder="little").tobytes()
-            masks[j * n + v_loc] |= int.from_bytes(col, "little") << (i * n)
+        adj[i * n : (i + 1) * n, j * n : (j + 1) * n] = bools
+        adj[j * n : (j + 1) * n, i * n : (i + 1) * n] = bools.T
     clusters = tuple(
         tuple(
             tuple(range(i * n + c * cluster_size, i * n + (c + 1) * cluster_size))
@@ -179,7 +175,7 @@ def gen_super_regular_instance(
         v for i in range(r) for v in range(i * n + core, (i + 1) * n)
     )
     return PartitionedInstance(
-        host=PartiteGraph.from_masks(r, n, masks),
+        host=PartiteGraph.from_masks(r, n, pack(adj)),
         clusters=clusters,
         exceptional=exceptional,
         params=params,

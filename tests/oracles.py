@@ -222,3 +222,65 @@ def brute_exact_covers(n_cols, rows):
             yield from rec(open_cols - sets[i], rest, chosen + [i])
 
     yield from rec(set(range(n_cols)), list(range(len(rows))), [])
+
+
+def ref_min_degree_instance(r, n, gamma, edge_keep, seed):
+    """Adjacency masks of `gen_min_degree_instance`, by a per-cell walk.
+
+    Each pair's permutation is walked one numpy scalar at a time against a
+    full per-(vertex, part) degree table, removing an edge whenever both
+    endpoints stay at or above the floor. Uses the package's seed streams, so
+    the two draw the same coins.
+    """
+    from krfactor._num import fceil
+    from krfactor.rng import as_seed
+
+    floor = fceil((1.0 - 1.0 / r + gamma) * n)
+    base = as_seed(seed)
+    universe = (1 << (r * n)) - 1
+    pm = [((1 << n) - 1) << (i * n) for i in range(r)]
+    masks = [universe ^ pm[v // n] for v in range(r * n)]
+    deg = [[n] * r for _ in range(r * n)]
+    for rank, (i, j) in enumerate(combinations(range(r), 2)):
+        total = n * n
+        remove_target = total - round(edge_keep * total)
+        if remove_target <= 0:
+            continue
+        gen = base.substream(rank).generator()
+        removed = 0
+        for t in gen.permutation(total):
+            if removed >= remove_target:
+                break
+            t = int(t)
+            u = i * n + t // n
+            v = j * n + t % n
+            if deg[u][j] <= floor or deg[v][i] <= floor:
+                continue
+            masks[u] &= ~(1 << v)
+            masks[v] &= ~(1 << u)
+            deg[u][j] -= 1
+            deg[v][i] -= 1
+            removed += 1
+    return tuple(masks)
+
+
+def ref_planted_masks(r, n, k, cluster_size, d, b_attach, seed):
+    """Adjacency masks of `gen_super_regular_instance`, set one edge at a time.
+
+    Draws each pair's n x n coin matrix from the same stream as the package,
+    then sets bit v of u and bit u of v for every coin below its threshold.
+    """
+    from krfactor.rng import as_seed
+
+    core = k * cluster_size
+    base = as_seed(seed)
+    masks = [0] * (r * n)
+    for rank, (i, j) in enumerate(combinations(range(r), 2)):
+        coins = base.substream(rank).generator().random((n, n))
+        for a in range(n):
+            for b in range(n):
+                thresh = b_attach if a >= core or b >= core else d
+                if coins[a, b] < thresh:
+                    masks[i * n + a] |= 1 << (j * n + b)
+                    masks[j * n + b] |= 1 << (i * n + a)
+    return tuple(masks)

@@ -181,6 +181,17 @@ class TestTransversalSweep:
         _, again, _ = run_cli(argv, capsys)
         assert again == first
 
+    def test_non_factor_from_the_solver_is_internal(self, capsys, monkeypatch):
+        # a solver answer the lift rejects is a fault of the program, not of the input
+        monkeypatch.setattr(krfactor.cli, "find_factor", lambda g: [(0, 1, 2)])
+        code, out, err = run_cli(
+            ["transversal-sweep", "--n", "2", "--trials", "1", "--p-grid", "1", "--seed", "5"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: internal: not a factor of the aggregate graph: ")
+
 
 # --- janson-report -----------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from krfactor import (
     threshold_p,
     write_graph_file,
 )
-from oracles import brute_min_star
+from oracles import brute_min_star, ref_min_degree_instance
 
 
 class TestPartiteGraph:
@@ -188,6 +189,24 @@ class TestGenMinDegreeInstance:
                     1 for u in g.part_range(i) for v in g.part_range(j) if g.has_edge(u, v)
                 )
                 assert kept >= kept_min
+
+    def test_matches_reference_walk(self):
+        rng = random.Random(20)
+        cases = []
+        for r in (2, 3, 4):
+            for n in range(1, 31):
+                for edge_keep in (1.0, 0.9, 0.5, rng.uniform(0.01, 0.2)):
+                    cases.append((r, n, rng.uniform(0.01, 1 / r - 0.01), edge_keep))
+            for n in (1, 7, 30):
+                cases.append((r, n, 1 / r, 0.3))  # floor == n: nothing removable
+        cases += [(3, 200, 0.2, 0.9), (3, 200, 0.1, 0.5), (2, 200, 0.3, 0.05)]
+        assert len(cases) >= 300
+        mismatched = [
+            (case, seed)
+            for seed, case in enumerate(cases)
+            if gen_min_degree_instance(*case, seed).adj != ref_min_degree_instance(*case, seed)
+        ]
+        assert mismatched == []
 
     def test_rejects_infeasible_gamma(self):
         with pytest.raises(ValueError):

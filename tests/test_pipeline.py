@@ -54,6 +54,15 @@ class TestCoverExceptional:
         again = cover_exceptional(g, [0], 0.5, quotas, 3)
         assert again.tiling == res.tiling
 
+    def test_roots_prefer_least_used_quota_sets(self):
+        # after (0, 4, 8) uses quota sets 0 and 2, root 1 skips the
+        # lexicographically first (1, 5, 9) for a clique in unused sets
+        g = PartiteGraph.complete(3, 4)
+        quotas = [(4, 5), (6, 7), (8, 9), (10, 11)]
+        res = cover_exceptional(g, [0, 1], 0.5, quotas, 0)
+        assert res.tiling.cliques == ((0, 4, 8), (1, 6, 10))
+        assert res.quota_usage == (1, 1, 1, 1)
+
     def test_dead_reveal_raises_cover_error(self):
         g = PartiteGraph.complete(3, 4)
         with pytest.raises(CoverError) as exc:
@@ -138,6 +147,8 @@ class TestCoverExceptional:
             cover_exceptional(g, [4], 0.5, [(4, 5)], 0)
         with pytest.raises(ValueError, match="overlaps"):
             cover_exceptional(g, [0], 0.5, [(4, 5), (5, 6)], 0)
+        with pytest.raises(ValueError, match="quota set 1 has a vertex out of range"):
+            cover_exceptional(g, [0], 0.5, [(4, 5), (6, 12)], 0)
         with pytest.raises(ValueError, match="mu"):
             cover_exceptional(g, [0], 0.0, [], 0)
         with pytest.raises(ValueError, match="p must"):
@@ -454,3 +465,57 @@ class TestRunPipeline:
         inst = _full_part_instance(3, 6)
         with pytest.raises(ValueError):
             run_pipeline(inst, 1.5, 0)
+
+
+def _bench_shape_report(cli_seed):
+    """`pipeline-run --r 3 --k 2 --cluster-size 45 --d 0.6 --b-size 3 --p 0.9 --seed cli_seed`."""
+    inst = gen_super_regular_instance(3, 2, 45, 0.6, 3, RandomSeed(cli_seed).substream(999))
+    return run_pipeline(inst, 0.9, cli_seed)
+
+
+class TestBenchShape:
+    @pytest.mark.parametrize("cli_seed", [1000138, 3000287, 7000161, 48000050])
+    def test_seeds_that_stranded_succeed(self, cli_seed):
+        # all three cover cliques once came from cluster 0, leaving lambda 3 vs 5
+        rep = _bench_shape_report(cli_seed)
+        assert rep.success, rep.error
+        assert rep.verified
+
+    def test_cover_keeps_lambda_in_range(self):
+        for cli_seed in range(20):
+            rep = _bench_shape_report(cli_seed)
+            assert rep.stages["weights"]["checks"]["lambda_in_range"], (
+                cli_seed, rep.stages["weights"]["lambda"]
+            )
+
+    def test_round3_strand_is_recovered_by_another_round2_choice(self, monkeypatch):
+        rep = _bench_shape_report(13000247)
+        assert rep.success, rep.error
+        assert rep.stages["residue"]["attempts"] == 2
+        monkeypatch.setattr("krfactor.pipeline.ROUND2_ATTEMPTS", 1)
+        rep = _bench_shape_report(13000247)
+        assert not rep.success
+        assert rep.failure_stage == "round3"
+        assert rep.error == "no factor found on cluster tuple 1 after 1 round-2 choices"
+        assert rep.stages["residue"]["attempts"] == 1
+        assert rep.stages["round3"]["failed_tuple"] == 1
+
+    def test_redraw_that_cannot_balance_is_a_spent_choice(self, monkeypatch):
+        # only the first choice may fail the run at balance_tuples; a redraw
+        # that cannot balance leaves the round-3 strand as the final error
+        calls = []
+
+        def first_only(*args, **kwargs):
+            calls.append(args)
+            if len(calls) > 1:
+                raise BalanceTuplesError("no disjoint cliques left")
+            return balance_tuples(*args, **kwargs)
+
+        monkeypatch.setattr("krfactor.pipeline.balance_tuples", first_only)
+        rep = _bench_shape_report(13000247)
+        assert len(calls) == 5
+        assert not rep.success
+        assert rep.failure_stage == "round3"
+        assert rep.error == "no factor found on cluster tuple 1 after 5 round-2 choices"
+        assert rep.stages["residue"]["attempts"] == 5
+        assert rep.stages["round3"]["failed_tuple"] == 1

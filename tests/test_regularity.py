@@ -19,7 +19,12 @@ from krfactor import (
     write_instance,
 )
 from krfactor.regularity import residual_instance
-from oracles import brute_regular_pair, pair_density, sampled_regular_pair_reference
+from oracles import (
+    brute_regular_pair,
+    pair_density,
+    ref_planted_masks,
+    sampled_regular_pair_reference,
+)
 
 
 def _block_split(side):
@@ -138,6 +143,16 @@ class TestGenerator:
                 if j == g.part_of(v):
                     continue
                 assert g.degree(v, part=j) >= 6  # ~0.9 * 9 expected
+
+    @pytest.mark.parametrize(
+        "r, k, size, d, b_size, b_attach",
+        [(3, 2, 45, 0.6, 3, 0.9), (3, 1, 20, 0.8, 0, 0.9), (2, 3, 7, 0.5, 4, 0.3), (4, 2, 5, 0.7, 8, 1.0)],
+    )
+    def test_masks_match_reference(self, r, k, size, d, b_size, b_attach):
+        n = k * size + b_size // r
+        for seed in range(3):
+            inst = gen_super_regular_instance(r, k, size, d, b_size, seed, b_attach=b_attach)
+            assert inst.host.adj == ref_planted_masks(r, n, k, size, d, b_attach, seed)
 
     def test_deterministic(self):
         a = gen_super_regular_instance(3, 2, 6, 0.5, 3, 7)
