@@ -80,7 +80,7 @@ class CliqueFamily:
 def enumerate_kr(g: PartiteGraph, *, max_cliques: int | None = None) -> CliqueFamily:
     """All transversal cliques of g, lexicographically ordered."""
     out = []
-    for K in _clique_stream(g, [g.part_mask(i) for i in range(g.r)]):
+    for K in _clique_stream(g, g.part_masks):
         out.append(K)
         if max_cliques is not None and len(out) > max_cliques:
             raise BudgetExceededError(

@@ -10,15 +10,11 @@ class FileFormatError(ValueError):
 
 
 class PipelineStageError(RuntimeError):
-    """A pipeline stage failed; `stage` names the stage for reporting."""
-
-    stage = "pipeline"
+    """A pipeline stage failed; the pipeline report names the stage."""
 
 
 class CoverError(PipelineStageError):
     """No surviving candidate clique was left for an exceptional vertex."""
-
-    stage = "cover_exceptional"
 
     def __init__(self, root: int, survivors: int, message: str = ""):
         self.root = root
@@ -33,8 +29,6 @@ class CoverError(PipelineStageError):
 class BalanceError(PipelineStageError):
     """No nonnegative integer clique weights realize lambda on the reduced graph."""
 
-    stage = "balance_weights"
-
     def __init__(self, message: str, checks: dict | None = None):
         self.checks = dict(checks or {})
         if self.checks:
@@ -44,8 +38,6 @@ class BalanceError(PipelineStageError):
 
 class BalanceTuplesError(PipelineStageError):
     """Weighted clique extraction could not realize some tuple's quota."""
-
-    stage = "balance_tuples"
 
     def __init__(self, message: str, tuple_key=None):
         self.tuple_key = tuple_key

@@ -21,9 +21,12 @@ from .rng import RandomSeed, as_seed
 
 
 class PartiteGraph:
-    """A balanced r-partite graph on r*n vertices. Immutable once built."""
+    """A balanced r-partite graph on r*n vertices. Immutable once built.
 
-    __slots__ = ("r", "n", "adj", "_part_masks")
+    `part_masks[i]` is the bitmask of part i's vertices.
+    """
+
+    __slots__ = ("r", "n", "adj", "part_masks")
 
     def __init__(self, r: int, n: int, edges=()):
         if r < 2:
@@ -32,7 +35,7 @@ class PartiteGraph:
             raise ValueError("part size must be positive")
         self.r = int(r)
         self.n = int(n)
-        self._part_masks = tuple(((1 << n) - 1) << (i * n) for i in range(self.r))
+        self.part_masks = tuple(((1 << n) - 1) << (i * n) for i in range(self.r))
         masks = [0] * (self.r * self.n)
         for e in edges:
             u, v = e
@@ -55,7 +58,7 @@ class PartiteGraph:
         g.r = int(r)
         g.n = int(n)
         g.adj = tuple(masks)
-        g._part_masks = tuple(((1 << n) - 1) << (i * n) for i in range(r))
+        g.part_masks = tuple(((1 << n) - 1) << (i * n) for i in range(r))
         return g
 
     @classmethod
@@ -79,7 +82,7 @@ class PartiteGraph:
         return range(i * self.n, (i + 1) * self.n)
 
     def part_mask(self, i: int) -> int:
-        return self._part_masks[i]
+        return self.part_masks[i]
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
@@ -87,7 +90,7 @@ class PartiteGraph:
     def degree(self, v: int, part: int | None = None) -> int:
         m = self.adj[v]
         if part is not None:
-            m &= self._part_masks[part]
+            m &= self.part_masks[part]
         return m.bit_count()
 
     def edges(self):

@@ -34,6 +34,7 @@ from .solver import (
 )
 
 
+RESERVE_ATTEMPTS = 100  # reserve draws tried before reserve selection gives up
 ROUND2_ATTEMPTS = 5  # round-2 clique choices tried before round 3 gives up
 
 
@@ -82,25 +83,23 @@ def cover_exceptional(
     for v in roots:
         if not (allowed >> v) & 1:
             raise ValueError(f"root {v} outside the allowed set")
-    qmasks = []
-    qsizes = []
     quota_of = [len(quotas)] * g.vertex_count  # quota set per vertex; none -> past the end
+    thresholds = []
     taken = 0
-    root_mask = mask_of(roots)
+    pending = mask_of(roots)  # roots not yet covered
     for s, xs in enumerate(quotas):
         xs = [int(v) for v in xs]
         m = mask_of(xs)
         if m >> g.vertex_count:
             raise ValueError(f"quota set {s} has a vertex out of range")
-        if m & root_mask:
+        if m & pending:
             raise ValueError(f"quota set {s} contains a root")
         if m & taken:
             raise ValueError(f"quota set {s} overlaps another quota set")
         taken |= m
         for u in xs:
             quota_of[u] = s
-        qmasks.append(m)
-        qsizes.append(m.bit_count())
+        thresholds.append(4 * g.r * mu * m.bit_count())
     bigN = allowed.bit_count()
     warnings: list[str] = []
     cap = ffloor(mu * bigN ** (g.r - 1))
@@ -111,27 +110,21 @@ def cover_exceptional(
         warnings.append(
             f"{len(roots)} roots exceeds mu^2 * N = {mu * mu * bigN:.3f}"
         )
-    thresholds = [4 * g.r * mu * sz for sz in qsizes]
-    usage = [0] * len(qmasks)
-    saturated = 0
-    for s, thr in enumerate(thresholds):
-        if 0 > thr - 1:
-            saturated |= qmasks[s]
-    suffix = [0] * (len(roots) + 1)
-    for idx in range(len(roots) - 1, -1, -1):
-        suffix[idx] = suffix[idx + 1] | (1 << roots[idx])
+    usage = [0] * len(quotas)
     used = 0
     chosen = []
-    for idx, v in enumerate(roots):
-        part_allowed = [allowed & g.part_mask(i) for i in range(g.r)]
+    for v in roots:
+        pending ^= 1 << v
+        part_allowed = [allowed & m for m in g.part_masks]
         part_allowed[g.part_of(v)] = 1 << v
         cand = list(islice(_clique_stream(g, part_allowed), cap))
         if len(cand) < cap:
             warnings.append(f"root {v}: only {len(cand)} candidates (cap {cap})")
-        # a candidate's key sums its vertices' quota usage; blocked vertices weigh inf
-        level = usage + [0]
+        # a candidate's key sums its vertices' quota usage; vertices already
+        # used, later roots and saturated sets weigh inf
+        level = [math.inf if u > thr - 1 else u for u, thr in zip(usage, thresholds)] + [0]
         load = [level[s] for s in quota_of]
-        for u in bit_indices(used | suffix[idx + 1] | saturated):
+        for u in bit_indices(used | pending):
             load[u] = math.inf
         keys = [sum(map(load.__getitem__, K)) for K in cand]
         # stable sort of ascending indices: ties stay lexicographic
@@ -145,14 +138,10 @@ def cover_exceptional(
         if pick is None:
             raise CoverError(v, len(survivors))
         chosen.append(pick)
-        km = mask_of(pick)
-        used |= km
-        for s, qm in enumerate(qmasks):
-            inc = (km & qm).bit_count()
-            if inc:
-                usage[s] += inc
-                if usage[s] > thresholds[s] - 1:
-                    saturated |= qm
+        used |= mask_of(pick)
+        for u in pick:
+            if quota_of[u] < len(quotas):
+                usage[quota_of[u]] += 1
     for s, u in enumerate(usage):
         if u > thresholds[s] + g.r - 2 + 1e-9:
             raise RuntimeError(f"internal: quota set {s} over budget ({u})")
@@ -194,7 +183,7 @@ def _realize(reduced: PartiteGraph, lam, max_rows: int):
     BudgetExceededError. Returns None when no such multiset exists.
     """
     at: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(reduced.n)]
-    for K in _clique_stream(reduced, [reduced.part_mask(i) for i in range(reduced.r)]):
+    for K in _clique_stream(reduced, reduced.part_masks):
         at[K[0]].append((K, mask_of(K)))
     left = list(lam)
     dead = mask_of(v for v, x in enumerate(left) if not x)  # vertices with no lam left
@@ -489,15 +478,14 @@ def run_pipeline(
     *,
     alpha: float = 0.25,
     mu: float = 0.05,
-    w_retries: int = 100,
-    max_rows: int = DEFAULT_ROW_BUDGET,
 ) -> PipelineReport:
     """Run the three-round construction; never raises on stage failure.
 
-    The returned report carries per-stage diagnostics, the failing stage (if
-    any), and on success the factor, verified in the union of the three
-    rounds' sparsifications. Out-of-range mu or alpha raise ValueError before
-    any draw.
+    An instance without a reserve pool draws one, a fair coin per clustered
+    vertex, up to RESERVE_ATTEMPTS times. The returned report carries
+    per-stage diagnostics, the failing stage (if any), and on success the
+    factor, verified in the union of the three rounds' sparsifications.
+    Out-of-range mu or alpha raise ValueError before any draw.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -527,40 +515,28 @@ def run_pipeline(
     bmask = instance.exceptional_mask()
     # --- reserve selection ------------------------------------------------
     if instance.reserved is not None:
-        wmask = instance.reserved_mask()
-        _, diag = _reserve_conditions(instance, wmask, alpha)
-        stages["reserve"] = {"size": wmask.bit_count(), "attempts": 0, "conditions": diag}
-        inst_w = instance
+        inst_w, attempts = instance, 0
+        _, diag = _reserve_conditions(instance, instance.reserved_mask(), alpha)
     else:
         eligible = [
             v for v in range(g.vertex_count) if not (bmask >> v) & 1
         ]
-        wmask = None
-        last_diag = None
-        for attempt in range(w_retries):
+        for attempt in range(RESERVE_ATTEMPTS):
             gen = base.substream(0).substream(attempt).generator()
             coins = gen.random(len(eligible)) < 0.5
-            m = mask_of(v for keep, v in zip(coins, eligible) if keep)
-            ok, diag = _reserve_conditions(instance, m, alpha)
-            last_diag = diag
+            reserved = tuple(v for keep, v in zip(coins, eligible) if keep)
+            ok, diag = _reserve_conditions(instance, mask_of(reserved), alpha)
             if ok:
-                wmask = m
-                stages["reserve"] = {
-                    "size": m.bit_count(),
-                    "attempts": attempt + 1,
-                    "conditions": diag,
-                }
                 break
-        if wmask is None:
-            stages["reserve"] = {"attempts": w_retries, "conditions": last_diag}
+        else:
+            stages["reserve"] = {"attempts": RESERVE_ATTEMPTS, "conditions": diag}
             return fail(
                 "reserve_selection",
-                f"retry budget exhausted after {w_retries} reserve draws",
+                f"retry budget exhausted after {RESERVE_ATTEMPTS} reserve draws",
             )
-        inst_w = replace(
-            instance,
-            reserved=tuple(v for v in eligible if (wmask >> v) & 1),
-        )
+        inst_w, attempts = replace(instance, reserved=reserved), attempt + 1
+    wmask = inst_w.reserved_mask()
+    stages["reserve"] = {"size": wmask.bit_count(), "attempts": attempts, "conditions": diag}
     # --- round 1: cover the exceptional set --------------------------------
     roots = sorted(instance.exceptional)
     quotas = [instance.clusters[i][c] for i in range(r) for c in range(k)]
@@ -581,12 +557,9 @@ def run_pipeline(
     if bmask & ~used1:
         return fail("cover_exceptional", "internal: an exceptional vertex was left uncovered")
     # --- round 2: weights on the reduced graph, then extraction ------------
+    residue = residual_instance(inst_w, used1)
     target = ffloor(9 * n / (10 * k))
-    lam = []
-    for i in range(r):
-        for c in range(k):
-            residual = (instance.cluster_mask(i, c) & ~used1).bit_count()
-            lam.append(residual - target)
+    lam = [len(cl) - target for part in residue.clusters for cl in part]
     if any(x < 0 for x in lam):
         return fail(
             "balance_weights",
@@ -601,7 +574,7 @@ def run_pipeline(
         "pairs_regular": sum(1 for rep in reg_reports.values() if rep.regular),
     }
     try:
-        wa = balance_weights(reduced, lam, gamma, max_rows=max_rows)
+        wa = balance_weights(reduced, lam, gamma)
     except (BalanceError, BudgetExceededError) as exc:
         stages["weights"] = {
             "lambda": lam,
@@ -614,7 +587,6 @@ def run_pipeline(
         "checks": wa.checks,
         "tuples": sum(1 for w in wa.omega.values() if w > 0),
     }
-    inst2 = residual_instance(inst_w, used1)
     g2 = sparsify(g, p_round, base.substream(3))
     g3 = sparsify(g, p_round, base.substream(5))
     # a residue that round 3 cannot finish sends round 2 back for another
@@ -624,7 +596,7 @@ def run_pipeline(
         if attempt:
             choice = choice.substream(attempt)
         try:
-            k2 = balance_tuples(g2, inst2, wa.omega, target, choice, max_rows=max_rows)
+            k2 = balance_tuples(g2, residue, wa.omega, target, choice)
         except (BalanceTuplesError, BudgetExceededError) as exc:
             if attempt:
                 # a redraw that cannot balance is one more spent choice; the
@@ -635,37 +607,32 @@ def run_pipeline(
             return fail("balance_tuples", exc)
         stages["residue"] = {"target": target, "cliques": len(k2), "attempts": attempt + 1}
         # --- round 3: finish each cluster tuple ----------------------------
-        used2 = used1 | k2.covered_mask
         k3: list[tuple[int, ...]] = []
         tuple_sizes = []
-        stranded = None
         for c in range(k):
-            masks = [instance.cluster_mask(i, c) & ~used2 for i in range(r)]
+            masks = [residue.cluster_mask(i, c) & ~k2.covered_mask for i in range(r)]
             sizes = [m.bit_count() for m in masks]
             if sizes != [target] * r:
                 return fail(
                     "round3", f"internal: tuple {c} residues {sizes} != target {target}"
                 )
-            if target == 0:
-                tuple_sizes.append(0)
-                continue
             try:
-                sol = solve_restricted(g3, masks, max_rows=max_rows)
+                sol = solve_restricted(g3, masks)
             except BudgetExceededError as exc:
                 stages["round3"] = {"error": str(exc)}
                 return fail("round3", exc)
             if sol is None:
-                stranded = c
                 break
             k3.extend(sol)
             tuple_sizes.append(len(sol))
-        if stranded is None:
+        else:
             break
-    if stranded is not None:
-        stages["round3"] = {"failed_tuple": stranded, "tuple_sizes": tuple_sizes}
+    else:
+        # c is the tuple the last round 3 stranded
+        stages["round3"] = {"failed_tuple": c, "tuple_sizes": tuple_sizes}
         return fail(
             "round3",
-            f"no factor found on cluster tuple {stranded} after {ROUND2_ATTEMPTS} round-2 choices",
+            f"no factor found on cluster tuple {c} after {ROUND2_ATTEMPTS} round-2 choices",
         )
     stages["round3"] = {"tuples": k, "cliques": len(k3), "per_tuple": tuple_sizes}
     # --- union and independent verification in G1 ∪ G2 ∪ G3 ----------------

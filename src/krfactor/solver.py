@@ -59,10 +59,6 @@ class Factor(Tiling):
             raise ValueError(f"not a factor: vertex {missing} uncovered")
 
 
-def _full_allowed(g: PartiteGraph):
-    return [g.part_mask(i) for i in range(g.r)]
-
-
 def _matching_cover(g: PartiteGraph, allowed):
     """Cover the union of `allowed` part by part; None proves nothing.
 
@@ -167,7 +163,7 @@ def find_factor(g: PartiteGraph, *, max_rows: int = DEFAULT_ROW_BUDGET):
     exact-cover search (branching on the most constrained vertex) decides,
     so a None answer is certified by complete search.
     """
-    sol = _first_cover(g, _full_allowed(g), max_rows)
+    sol = _first_cover(g, g.part_masks, max_rows)
     return None if sol is None else Factor(g, sol)
 
 
@@ -188,7 +184,7 @@ def solve_restricted(g: PartiteGraph, allowed, *, max_rows: int = DEFAULT_ROW_BU
 
 def count_factors(g: PartiteGraph, *, max_rows: int = DEFAULT_ROW_BUDGET) -> int:
     """Exact number of clique factors of g."""
-    built = _build_cover(g, _full_allowed(g), max_rows)
+    built = _build_cover(g, g.part_masks, max_rows)
     if built is None:
         return 0
     dlx, _ = built
@@ -203,7 +199,7 @@ def _factor_sampler(g: PartiteGraph, max_rows: int):
     explicit stack, then walks down proportionally to the counts. Raises
     ValueError when no factor exists.
     """
-    rows = _clique_rows(g, _full_allowed(g), max_rows)
+    rows = _clique_rows(g, g.part_masks, max_rows)
     by_vertex: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(g.vertex_count)]
     for K in rows:
         m = mask_of(K)
@@ -285,7 +281,7 @@ def estimate_spread(
     if max_subset < 1:
         raise ValueError("max_subset must be at least 1")
     if mode == "exact":
-        built = _build_cover(g, _full_allowed(g), max_rows)
+        built = _build_cover(g, g.part_masks, max_rows)
         if built is None:
             raise ValueError("graph has no factor")
         dlx, rows = built

@@ -261,7 +261,7 @@ def transversal_oracle(family: GraphFamily):
             union_masks[v] |= g.adj[v]
     union = PartiteGraph.from_masks(r, n, union_masks)
     rows = []
-    for K in _clique_stream(union, [union.part_mask(i) for i in range(r)]):
+    for K in _clique_stream(union, union.part_masks):
         pairs = list(combinations(K, 2))
         options = [
             [t for t, g in enumerate(family.graphs) if g.has_edge(u, v)]

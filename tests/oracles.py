@@ -284,3 +284,112 @@ def ref_planted_masks(r, n, k, cluster_size, d, b_attach, seed):
                     masks[i * n + a] |= 1 << (j * n + b)
                     masks[j * n + b] |= 1 << (i * n + a)
     return tuple(masks)
+
+
+def ref_cover_exceptional(g, roots, mu, quotas, seed, *, p=1.0, allowed=None):
+    """`cover_exceptional` as a per-quota-mask loop with an explicit saturated mask.
+
+    The package's earlier implementation, line for line: a suffix mask of
+    later roots, a saturated-vertex mask grown as quota sets fill, and usage
+    counted by intersecting each pick with every quota mask. Returns the
+    same CoverResult and raises the same errors, in the same order.
+    """
+    import math
+    from itertools import combinations, islice
+
+    from krfactor._num import bit_indices, ffloor, mask_of
+    from krfactor.cliques import _clique_stream
+    from krfactor.errors import CoverError
+    from krfactor.graphs import sparsify
+    from krfactor.pipeline import CoverResult
+    from krfactor.solver import Tiling
+
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    gp = sparsify(g, p, seed)
+    roots = [int(v) for v in roots]
+    if len(set(roots)) != len(roots):
+        raise ValueError("roots must be distinct")
+    for v in roots:
+        if not 0 <= v < g.vertex_count:
+            raise ValueError(f"root {v} out of range")
+    universe = (1 << g.vertex_count) - 1
+    allowed = universe if allowed is None else int(allowed)
+    for v in roots:
+        if not (allowed >> v) & 1:
+            raise ValueError(f"root {v} outside the allowed set")
+    qmasks = []
+    qsizes = []
+    quota_of = [len(quotas)] * g.vertex_count  # quota set per vertex; none -> past the end
+    taken = 0
+    root_mask = mask_of(roots)
+    for s, xs in enumerate(quotas):
+        xs = [int(v) for v in xs]
+        m = mask_of(xs)
+        if m >> g.vertex_count:
+            raise ValueError(f"quota set {s} has a vertex out of range")
+        if m & root_mask:
+            raise ValueError(f"quota set {s} contains a root")
+        if m & taken:
+            raise ValueError(f"quota set {s} overlaps another quota set")
+        taken |= m
+        for u in xs:
+            quota_of[u] = s
+        qmasks.append(m)
+        qsizes.append(m.bit_count())
+    bigN = allowed.bit_count()
+    warnings: list[str] = []
+    cap = ffloor(mu * bigN ** (g.r - 1))
+    if cap < 1:
+        warnings.append(f"candidate cap {cap} < 1; clamped to 1")
+        cap = 1
+    if len(roots) > mu * mu * bigN + 1e-9:
+        warnings.append(
+            f"{len(roots)} roots exceeds mu^2 * N = {mu * mu * bigN:.3f}"
+        )
+    thresholds = [4 * g.r * mu * sz for sz in qsizes]
+    usage = [0] * len(qmasks)
+    saturated = 0
+    for s, thr in enumerate(thresholds):
+        if 0 > thr - 1:
+            saturated |= qmasks[s]
+    suffix = [0] * (len(roots) + 1)
+    for idx in range(len(roots) - 1, -1, -1):
+        suffix[idx] = suffix[idx + 1] | (1 << roots[idx])
+    used = 0
+    chosen = []
+    for idx, v in enumerate(roots):
+        part_allowed = [allowed & g.part_mask(i) for i in range(g.r)]
+        part_allowed[g.part_of(v)] = 1 << v
+        cand = list(islice(_clique_stream(g, part_allowed), cap))
+        if len(cand) < cap:
+            warnings.append(f"root {v}: only {len(cand)} candidates (cap {cap})")
+        # a candidate's key sums its vertices' quota usage; blocked vertices weigh inf
+        level = usage + [0]
+        load = [level[s] for s in quota_of]
+        for u in bit_indices(used | suffix[idx + 1] | saturated):
+            load[u] = math.inf
+        keys = [sum(map(load.__getitem__, K)) for K in cand]
+        # stable sort of ascending indices: ties stay lexicographic
+        order = sorted((i for i, key in enumerate(keys) if key < math.inf), key=keys.__getitem__)
+        survivors = [cand[i] for i in order]
+        pick = None
+        for K in survivors:
+            if all(gp.has_edge(a, b) for a, b in combinations(K, 2)):
+                pick = K
+                break
+        if pick is None:
+            raise CoverError(v, len(survivors))
+        chosen.append(pick)
+        km = mask_of(pick)
+        used |= km
+        for s, qm in enumerate(qmasks):
+            inc = (km & qm).bit_count()
+            if inc:
+                usage[s] += inc
+                if usage[s] > thresholds[s] - 1:
+                    saturated |= qm
+    for s, u in enumerate(usage):
+        if u > thresholds[s] + g.r - 2 + 1e-9:
+            raise RuntimeError(f"internal: quota set {s} over budget ({u})")
+    return CoverResult(Tiling(gp, tuple(sorted(chosen))), tuple(usage), tuple(warnings))

@@ -1,6 +1,9 @@
+import hashlib
 import json
 import math
+import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -24,7 +27,7 @@ from krfactor import (
     verify_factor,
 )
 from krfactor.pipeline import WeightAssignment
-from oracles import brute_weights_exist
+from oracles import brute_weights_exist, ref_cover_exceptional
 
 
 def _full_part_instance(r, n, *, epsilon=0.1, d=0.5, gamma=0.5, reserved=None):
@@ -157,6 +160,64 @@ class TestCoverExceptional:
             cover_exceptional(
                 g, [0], 0.5, [], 0, allowed=g.part_mask(1) | g.part_mask(2)
             )
+
+    def test_matches_reference(self):
+        def outcome(fn, *args, **kwargs):
+            try:
+                res = fn(*args, **kwargs)
+            except Exception as exc:  # the error itself is what gets compared
+                return type(exc), str(exc)
+            return res.tiling.host.adj, res.tiling.cliques, res.quota_usage, res.warnings
+
+        cases = []
+        rng = random.Random(2024)
+        for _ in range(320):
+            r, n = rng.randint(3, 4), rng.randint(6, 14)
+            total = r * n
+            keep = rng.choice((1.0, 0.8, 0.5))
+            g = sparsify(PartiteGraph.complete(r, n), keep, rng.randrange(99))
+            roots = rng.sample(range(total), rng.randint(0, 3))
+            rest = [v for v in range(total) if v not in roots]
+            rng.shuffle(rest)
+            quotas, start = [], 0
+            for _ in range(rng.randint(0, 3 * r)):
+                size = rng.randint(1, n // 2)
+                quotas.append(tuple(sorted(rest[start : start + size])))
+                start += size
+            allowed = None
+            flaw = rng.randrange(16)
+            if flaw == 0 and roots:
+                roots.append(roots[0])
+            elif flaw == 1:
+                roots.append(total + rng.randrange(3))
+            elif flaw == 2 and roots and quotas:
+                quotas[-1] += (roots[0],)
+            elif flaw == 3 and len(quotas) > 1 and quotas[0]:
+                quotas[-1] += (quotas[0][0],)
+            elif flaw == 4 and quotas:
+                quotas[-1] += (total,)
+            elif flaw in (5, 6):
+                allowed = rng.getrandbits(total)
+            kwargs = {"p": rng.choice((0.7, 1.0)), "allowed": allowed}
+            cases.append((g, roots, rng.uniform(0.02, 0.3), quotas, rng.randrange(10**6), kwargs))
+        # criterion 06's shapes, every fourth run
+        shapes = [(3, 10), (3, 13), (3, 16), (4, 10), (4, 11), (4, 12)]
+        for i in range(0, 240, 4):
+            r, n = shapes[i % len(shapes)]
+            roots = tuple(j * n for j in range(r))[: 1 + i % 3]
+            quotas = tuple(tuple(range(j * n + n // 2, (j + 1) * n)) for j in range(r))
+            mu, p = (0.05, 0.08, 0.12)[i % 3], (0.8, 1.0)[i % 2]
+            g = PartiteGraph.complete(r, n)
+            cases.append((g, roots, mu, quotas, RandomSeed(100 + i), {"p": p}))
+        kinds = Counter()
+        for g, roots, mu, quotas, seed, kwargs in cases:
+            want = outcome(ref_cover_exceptional, g, roots, mu, quotas, seed, **kwargs)
+            assert outcome(cover_exceptional, g, roots, mu, quotas, seed, **kwargs) == want
+            kinds[want[0].__name__ if isinstance(want[0], type) else "covered"] += 1
+        # the comparison reaches covers, cover failures and validation errors
+        assert kinds["covered"] >= 100
+        assert kinds["CoverError"] >= 10
+        assert kinds["ValueError"] >= 30
 
 
 class TestBalanceWeights:
@@ -418,10 +479,11 @@ class TestRunPipeline:
         assert rep.failure_stage == "cover_exceptional"
         assert "error" in rep.stages["cover"]
 
-    def test_reserve_exhaustion(self):
+    def test_reserve_exhaustion(self, monkeypatch):
+        monkeypatch.setattr("krfactor.pipeline.RESERVE_ATTEMPTS", 5)
         # alpha so tight no integer cluster count can land in the band
         inst = gen_super_regular_instance(3, 1, 13, 0.9, 0, 2)
-        rep = run_pipeline(inst, 1.0, 0, alpha=0.0001, w_retries=5)
+        rep = run_pipeline(inst, 1.0, 0, alpha=0.0001)
         assert not rep.success
         assert rep.failure_stage == "reserve_selection"
         assert rep.stages["reserve"]["attempts"] == 5
@@ -467,10 +529,39 @@ class TestRunPipeline:
             run_pipeline(inst, 1.5, 0)
 
 
-def _bench_shape_report(cli_seed):
-    """`pipeline-run --r 3 --k 2 --cluster-size 45 --d 0.6 --b-size 3 --p 0.9 --seed cli_seed`."""
+def _bench_shape_report(cli_seed, p=0.9):
+    """`pipeline-run --r 3 --k 2 --cluster-size 45 --d 0.6 --b-size 3 --p p --seed cli_seed`."""
     inst = gen_super_regular_instance(3, 2, 45, 0.6, 3, RandomSeed(cli_seed).substream(999))
-    return run_pipeline(inst, 0.9, cli_seed)
+    return run_pipeline(inst, p, cli_seed)
+
+
+# sha256 of the report JSON; p 0.7 covers round-2 redraws and round-3 strands
+PINNED_REPORTS = {
+    ("bench", 0.9, 0): "fa9cbf83f1cfba3e449cc83f472536998d6def0451e196f7ca5dacab5507a494",
+    ("bench", 0.9, 1): "41fe6d66a982a967f5d2719954d5468f37b067d13bc1f9caecb96248239b1712",
+    ("bench", 0.9, 2): "251bffbaa6c73ddd192530082c9e113ee215864c0fa1ed46bb394c455ce2d896",
+    ("bench", 0.9, 3): "9533d2653e5269a18d4ba1b2525081da74c9f51670c250ddeb23e710b4c8de82",
+    ("bench", 0.9, 4): "8566230d944c17dd0b02eadeb674d62892686498c51b954167d20cca47828cf7",
+    ("bench", 0.7, 0): "c30f7929b1c7d2a82ba6f33c0422e5722b6bc579c74eb3e54a104b49499133c8",
+    ("bench", 0.7, 1): "06164b5c4afa58588f707b92befa24a761959d5185ba7cb3ba2a2e63e5770265",
+    ("bench", 0.7, 2): "234f32c768886a6f1bf94c484035495e3648709ebd306b4ac3edb8089245a797",
+    ("bench", 0.7, 3): "1db216afb15777c83628a4156428b1df7056e2e9e157774107b4d1923a4ab27a",
+    ("bench", 0.7, 4): "a5e3d5f4207c2e9db05b8f37660a158a68f8b83f58331b3e9cdec58514f3f8a7",
+    ("criterion 11", 1.0, 0): "4f0801f784aa7ced4700664a22c4605d4f90c5484a8391412da93693d43f62a9",
+    ("criterion 11", 1.0, 1): "a57f4d177fec09e819e7906ac17a39c2d56e75852b41da115c29e5d74dac4d80",
+    ("criterion 11", 1.0, 2): "ec00acf6f28a77d4608cf94bc4d0ba7577a52cda585ab195e44feb618988f508",
+}
+
+
+@pytest.mark.parametrize("shape, p, seed", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(shape, p, seed):
+    if shape == "bench":
+        rep = _bench_shape_report(seed, p)
+    else:
+        inst = gen_super_regular_instance(3, 2, 30, 0.6, 3, seed, epsilon=0.25)
+        rep = run_pipeline(inst, p, seed)
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == PINNED_REPORTS[shape, p, seed]
 
 
 class TestBenchShape:
