@@ -37,7 +37,8 @@ class BalanceError(PipelineStageError):
 
 
 class BalanceTuplesError(PipelineStageError):
-    """Weighted clique extraction could not realize some tuple's quota."""
+    """Round 2 could not extract its cliques: a cluster cannot reach the target,
+    or the random choice stranded a tuple (`tuple_key`) before its quota."""
 
     def __init__(self, message: str, tuple_key=None):
         self.tuple_key = tuple_key

@@ -7,9 +7,10 @@ computes integer clique weights on the reduced cluster graph and extracts
 that many disjoint cliques per cluster tuple from the second, drawing
 replacements from the reserve, so every cluster shrinks to a common residue
 target. Round 3 finishes each cluster tuple with an exact factor search on
-the third; a tuple it cannot finish sends round 2 back for another random
-choice of cliques, up to ROUND2_ATTEMPTS choices. The assembled factor is
-verified in the union of the three sparsifications, the pipeline's G(p).
+the third. A choice that round 2 cannot balance, or that leaves round 3 a
+tuple it cannot finish, sends round 2 back for another random choice of
+cliques, up to ROUND2_ATTEMPTS choices. The assembled factor is verified in
+the union of the three sparsifications, the pipeline's G(p).
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ def cover_exceptional(
             raise ValueError(f"root {v} out of range")
     universe = (1 << g.vertex_count) - 1
     allowed = universe if allowed is None else int(allowed)
+    if allowed >> g.vertex_count:
+        raise ValueError("allowed has a vertex out of range")
     for v in roots:
         if not (allowed >> v) & 1:
             raise ValueError(f"root {v} outside the allowed set")
@@ -271,31 +274,6 @@ def balance_weights(
     return WeightAssignment(reduced, tuple(lam), dict(Counter(cliques)), checks)
 
 
-def _disjoint_pick(masks, need: int):
-    """Indices of the lexicographically first `need` pairwise disjoint masks.
-
-    None if there are none. Depth-first on an explicit stack, so `need` may
-    exceed the recursion limit.
-    """
-    path: list[int] = []
-    blocked = 0
-    idx = 0
-    while len(path) < need:
-        last = len(masks) - (need - len(path))  # leave room for the rest
-        while idx <= last and masks[idx] & blocked:
-            idx += 1
-        if idx <= last:
-            path.append(idx)
-            blocked |= masks[idx]
-        elif path:
-            idx = path.pop()
-            blocked &= ~masks[idx]
-        else:
-            return None
-        idx += 1
-    return path
-
-
 def balance_tuples(
     g_round: PartiteGraph,
     instance: PartitionedInstance,
@@ -310,9 +288,10 @@ def balance_tuples(
     Picks only reserve-pool vertices, so after removal every cluster holds
     exactly `target` vertices. A tuple's candidates are its present cliques
     avoiding earlier tuples' picks; each copy is a uniformly random choice
-    among those avoiding the copies already drawn. If the random pass
-    strands a tuple, an exhaustive disjoint-set search over its candidates
-    decides before failing.
+    among those avoiding the copies already drawn. A tuple whose random
+    choice runs out of candidates before omega(K) copies raises
+    BalanceTuplesError; that is no proof that the copies cannot be disjoint,
+    and another choice may succeed.
     """
     if target < 0:
         raise ValueError("target must be nonnegative")
@@ -370,12 +349,10 @@ def balance_tuples(
             picks.append(i)
             live = [j for j in live if not cmasks[j] & cmasks[i]]
         if len(picks) < need:
-            picks = _disjoint_pick(cmasks, need)
-            if picks is None:
-                raise BalanceTuplesError(
-                    f"could not extract {need} disjoint present cliques for tuple {K}",
-                    tuple_key=K,
-                )
+            raise BalanceTuplesError(
+                f"the random choice stranded tuple {K} after {len(picks)} of {need} cliques",
+                tuple_key=K,
+            )
         for i in picks:
             used |= cmasks[i]
             chosen.append(cand[i])
@@ -598,13 +575,11 @@ def run_pipeline(
         try:
             k2 = balance_tuples(g2, residue, wa.omega, target, choice)
         except (BalanceTuplesError, BudgetExceededError) as exc:
-            if attempt:
-                # a redraw that cannot balance is one more spent choice; the
-                # strand of the last round 3 stands
-                stages["residue"]["attempts"] = attempt + 1
-                continue
-            stages["residue"] = {"target": target, "attempts": 1, "error": str(exc)}
-            return fail("balance_tuples", exc)
+            # a choice that cannot be balanced is one more spent choice; the
+            # strand of the last round 3, if any, stands
+            residue_stage = stages.setdefault("residue", {"target": target, "error": str(exc)})
+            residue_stage["attempts"] = attempt + 1
+            continue
         stages["residue"] = {"target": target, "cliques": len(k2), "attempts": attempt + 1}
         # --- round 3: finish each cluster tuple ----------------------------
         k3: list[tuple[int, ...]] = []
@@ -628,6 +603,8 @@ def run_pipeline(
         else:
             break
     else:
+        if "error" in stages["residue"]:
+            return fail("balance_tuples", stages["residue"]["error"])
         # c is the tuple the last round 3 stranded
         stages["round3"] = {"failed_tuple": c, "tuple_sizes": tuple_sizes}
         return fail(

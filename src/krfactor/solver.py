@@ -177,8 +177,6 @@ def solve_restricted(g: PartiteGraph, allowed, *, max_rows: int = DEFAULT_ROW_BU
     for i, m in enumerate(allowed):
         if m & ~g.part_mask(i):
             raise ValueError(f"allowed[{i}] leaves part {i}")
-    if all(m == 0 for m in allowed):
-        return ()
     return _first_cover(g, list(allowed), max_rows)
 
 

@@ -1,6 +1,7 @@
 """The package's public names are pinned, so additions and removals are deliberate."""
 
 import types
+from pathlib import Path
 
 import krfactor
 
@@ -82,3 +83,16 @@ def test_public_names_are_pinned():
         if not isinstance(getattr(krfactor, name), types.ModuleType)
     )
     assert names == PUBLIC_API
+
+
+def test_bench_tracing_finds_every_timed_function(monkeypatch):
+    # a traced benchmark run reports a metric as absent when the function or
+    # method it times has gone from the package
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import tracing
+
+    uninstall, absent = tracing.install(tracing.Recorder())
+    try:
+        assert absent == []
+    finally:
+        uninstall()

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -160,6 +159,8 @@ class TestCoverExceptional:
             cover_exceptional(
                 g, [0], 0.5, [], 0, allowed=g.part_mask(1) | g.part_mask(2)
             )
+        with pytest.raises(ValueError, match="allowed has a vertex out of range"):
+            cover_exceptional(g, [0], 0.5, [], 0, allowed=(1 << 20) - 1)
 
     def test_matches_reference(self):
         def outcome(fn, *args, **kwargs):
@@ -368,36 +369,26 @@ class TestBalanceTuples:
             balance_tuples(empty, inst, {(0, 1, 2): 1}, 3, 0)
         assert exc.value.tuple_key == (0, 1, 2)
 
-    def test_exhaustive_fallback_completes(self):
-        # only disjoint pair is T1=(0,4,8), T2=(1,5,9); decoy (0,5,9) can strand
-        # the random pass, forcing the backtracking fallback
+    def test_stranded_choice_raises_with_tuple_key(self):
+        # only disjoint pair is T1=(0,4,8), T2=(1,5,9); a first pick of the
+        # decoy (0,5,9) blocks both, and the random pass strands the tuple
         edges = [(0, 4), (4, 8), (0, 8), (1, 5), (5, 9), (1, 9), (0, 5), (0, 9)]
         g = PartiteGraph(3, 4, edges)
         clusters = tuple((tuple(g.part_range(i)),) for i in range(3))
         params = RegularityParams(epsilon=0.1, d=0.2, gamma=0.5, k=1)
         inst = PartitionedInstance(g, clusters, (), params, reserved=tuple(range(12)))
+        outcomes = Counter()
         for seed in range(10):
-            res = balance_tuples(g, inst, {(0, 1, 2): 2}, 2, seed)
-            assert set(res.cliques) == {(0, 4, 8), (1, 5, 9)}
-
-    def test_exhaustive_fallback_has_no_recursion_limit(self):
-        # m copies of the gadget above; the random pass strands on any decoy,
-        # and the fallback must then pick 2m cliques
-        m = (sys.getrecursionlimit() + 101) // 2 + 1
-        n = 2 * m
-        edges = []
-        for j in range(m):
-            a, b, c = 2 * j, n + 2 * j, 2 * n + 2 * j
-            edges += [(a, b), (b, c), (a, c)]  # T1
-            edges += [(a + 1, b + 1), (b + 1, c + 1), (a + 1, c + 1)]  # T2
-            edges += [(a, b + 1), (a, c + 1)]  # decoy (a, b+1, c+1)
-        g = PartiteGraph(3, n, edges)
-        clusters = tuple((tuple(g.part_range(i)),) for i in range(3))
-        params = RegularityParams(epsilon=0.1, d=0.2, gamma=0.5, k=1)
-        inst = PartitionedInstance(g, clusters, (), params, reserved=tuple(range(3 * n)))
-        res = balance_tuples(g, inst, {(0, 1, 2): 2 * m}, 0, 0)
-        assert len(res) == 2 * m > sys.getrecursionlimit() + 100
-        assert res.covered_mask == (1 << (3 * n)) - 1
+            try:
+                res = balance_tuples(g, inst, {(0, 1, 2): 2}, 2, seed)
+            except BalanceTuplesError as exc:
+                assert exc.tuple_key == (0, 1, 2)
+                assert str(exc) == "the random choice stranded tuple (0, 1, 2) after 1 of 2 cliques"
+                outcomes["stranded"] += 1
+            else:
+                assert set(res.cliques) == {(0, 4, 8), (1, 5, 9)}
+                outcomes["balanced"] += 1
+        assert outcomes["stranded"] and outcomes["balanced"]
 
     def test_omega_key_validation(self):
         inst = _full_part_instance(3, 4)
@@ -610,3 +601,30 @@ class TestBenchShape:
         assert rep.error == "no factor found on cluster tuple 1 after 5 round-2 choices"
         assert rep.stages["residue"]["attempts"] == 5
         assert rep.stages["round3"]["failed_tuple"] == 1
+
+    def test_first_choice_that_cannot_balance_is_redrawn(self, monkeypatch):
+        calls = []
+
+        def all_but_first(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise BalanceTuplesError("stranded", tuple_key=(0, 2, 4))
+            return balance_tuples(*args, **kwargs)
+
+        monkeypatch.setattr("krfactor.pipeline.balance_tuples", all_but_first)
+        rep = _bench_shape_report(0)
+        assert rep.success, rep.error
+        assert rep.stages["residue"]["attempts"] == 2
+        assert "error" not in rep.stages["residue"]
+
+    def test_half_density_spends_every_choice(self):
+        # 126: no choice can be balanced; 180: the first choice cannot be
+        # balanced, and the later ones that can strand in round 3
+        rep = _bench_shape_report(126, 0.5)
+        assert rep.failure_stage == "balance_tuples"
+        assert rep.stages["residue"]["attempts"] == 5
+        assert rep.error.startswith("the random choice stranded tuple ")
+        rep = _bench_shape_report(180, 0.5)
+        assert rep.failure_stage == "round3"
+        assert rep.stages["residue"]["attempts"] == 5
+        assert rep.error.endswith("after 5 round-2 choices")
