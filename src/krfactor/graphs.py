@@ -8,6 +8,7 @@ clique search — are single big-int AND operations.
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
 from pathlib import Path
@@ -287,32 +288,52 @@ def write_graph_file(g: PartiteGraph, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_graph_file(path) -> PartiteGraph:
-    """Parse a graph file written by write_graph_file; '#' lines are comments."""
+def _read_lines(path, parse) -> list:
+    """parse(fields) for each line of `path` that is neither blank nor a '#' comment.
+
+    Raises FileFormatError as `path: ...` (unreadable) or `path, line N: ...` (parse failed).
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    header = None
-    edges = []
+    out = []
     for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise FileFormatError(f"{path}, line {num}: expected two integers")
         try:
-            a, b = int(fields[0]), int(fields[1])
+            out.append(parse(fields))
         except ValueError as exc:
             raise FileFormatError(f"{path}, line {num}: {exc}") from exc
-        if header is None:
-            header = (a, b)
-        else:
-            edges.append((a, b))
-    if header is None:
+    return out
+
+
+def _read_json_object(path) -> dict:
+    """The JSON object stored in `path`; anything else raises FileFormatError."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise FileFormatError(f"{path}: expected a JSON object")
+    return payload
+
+
+def _int_pair(fields) -> tuple[int, int]:
+    if len(fields) != 2:
+        raise ValueError("expected two integers")
+    return int(fields[0]), int(fields[1])
+
+
+def read_graph_file(path) -> PartiteGraph:
+    """Parse a graph file written by write_graph_file; '#' lines are comments."""
+    rows = _read_lines(path, _int_pair)
+    if not rows:
         raise FileFormatError(f"{path}: empty graph file")
     try:
-        return PartiteGraph(header[0], header[1], edges)
+        return PartiteGraph(*rows[0], rows[1:])
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc

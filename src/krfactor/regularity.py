@@ -17,7 +17,7 @@ import numpy as np
 
 from ._num import bit_indices, fceil, mask_of, pack, unpack
 from .errors import FileFormatError
-from .graphs import PartiteGraph
+from .graphs import PartiteGraph, _read_json_object
 from .rng import RandomSeed, as_seed
 
 EXHAUSTIVE_LIMIT = 12  # exhaustive subset checking up to this side size
@@ -409,15 +409,7 @@ def write_instance(inst: PartitionedInstance, path):
 
 
 def read_instance(path) -> PartitionedInstance:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise FileFormatError(f"{path}: expected a JSON object")
-    return instance_from_json(payload)
+    return instance_from_json(_read_json_object(path))
 
 
 def residual_instance(

@@ -14,9 +14,9 @@ from pathlib import Path
 
 from ._num import bit_indices, mask_of
 from .cliques import _clique_stream, check_clique
-from .errors import BudgetExceededError, FileFormatError
+from .errors import BudgetExceededError
 from .exact_cover import ExactCover
-from .graphs import PartiteGraph
+from .graphs import PartiteGraph, _read_lines
 from .rng import RandomSeed, as_seed, randbelow
 
 DEFAULT_ROW_BUDGET = 5_000_000
@@ -35,8 +35,9 @@ class Tiling:
         for K in self.cliques:
             check_clique(self.host, K)
             m = mask_of(K)
-            if covered & m:
-                raise ValueError(f"clique {K} overlaps another clique")
+            twice = covered & m
+            if twice:
+                raise ValueError(f"vertex {next(bit_indices(twice))} covered twice")
             covered |= m
         object.__setattr__(self, "covered_mask", covered)
 
@@ -50,13 +51,9 @@ class Factor(Tiling):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.covered_mask != (1 << self.host.vertex_count) - 1:
-            missing = next(
-                v
-                for v in range(self.host.vertex_count)
-                if not (self.covered_mask >> v) & 1
-            )
-            raise ValueError(f"not a factor: vertex {missing} uncovered")
+        missing = ~self.covered_mask & ((1 << self.host.vertex_count) - 1)
+        if missing:
+            raise ValueError(f"vertex {next(bit_indices(missing))} not covered")
 
 
 def _matching_cover(g: PartiteGraph, allowed):
@@ -312,29 +309,11 @@ def estimate_spread(
 
 
 def verify_factor(g: PartiteGraph, cliques) -> tuple[bool, str]:
-    """Independent factor check; returns (ok, reason), reason empty on success."""
-    seen = set()
-    for K in cliques:
-        K = tuple(int(v) for v in K)
-        if len(K) != g.r:
-            return False, f"clique {K}: expected {g.r} vertices"
-        parts = []
-        for v in K:
-            if not 0 <= v < g.vertex_count:
-                return False, f"clique {K}: vertex {v} out of range"
-            parts.append(g.part_of(v))
-        if parts != list(range(g.r)):
-            return False, f"clique {K}: not one vertex per part"
-        for a, b in combinations(K, 2):
-            if not g.has_edge(a, b):
-                return False, f"clique {K}: missing edge ({a}, {b})"
-        for v in K:
-            if v in seen:
-                return False, f"vertex {v} covered twice"
-            seen.add(v)
-    if len(seen) != g.vertex_count:
-        missing = next(v for v in range(g.vertex_count) if v not in seen)
-        return False, f"vertex {missing} not covered"
+    """Factor's check as (ok, reason): the error Factor(g, cliques) raises, "" if none."""
+    try:
+        Factor(g, [tuple(map(int, K)) for K in cliques])
+    except ValueError as exc:
+        return False, str(exc)
     return True, ""
 
 
@@ -346,17 +325,4 @@ def write_factor_certificate(cliques, path):
 
 def read_factor_certificate(path) -> tuple[tuple[int, ...], ...]:
     """Parse a factor certificate; structural checks happen in verify_factor."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-    out = []
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            out.append(tuple(int(x) for x in line.split()))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}, line {num}: {exc}") from exc
-    return tuple(out)
+    return tuple(_read_lines(path, lambda fields: tuple(map(int, fields))))

@@ -21,7 +21,14 @@ from ._num import bit_indices, fceil
 from .cliques import _clique_stream
 from .errors import BudgetExceededError, FileFormatError
 from .exact_cover import ExactCover
-from .graphs import PartiteGraph, min_star_degree, read_graph_file, write_graph_file
+from .graphs import (
+    PartiteGraph,
+    _read_json_object,
+    _read_lines,
+    min_star_degree,
+    read_graph_file,
+    write_graph_file,
+)
 from .rng import RandomSeed, as_seed
 from .solver import verify_factor
 
@@ -316,13 +323,8 @@ def write_family(family: GraphFamily, dir_path) -> Path:
 def read_family(manifest_path) -> GraphFamily:
     """Load a family from its manifest; structural problems raise FileFormatError."""
     path = Path(manifest_path)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("format") != "graph-family":
+    payload = _read_json_object(path)
+    if payload.get("format") != "graph-family":
         raise FileFormatError(f"{path}: not a graph-family manifest")
     try:
         r = int(payload["r"])
@@ -350,26 +352,18 @@ def write_transversal_certificate(tf: TransversalFactor, path):
 
 def read_transversal_certificate(path) -> TransversalFactor:
     """Parse a certificate; semantic checks happen in verify_transversal."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
     cliques = []
     assignment = {}
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        try:
-            if fields[0] == "clique":
-                cliques.append(tuple(int(x) for x in fields[1:]))
-            elif fields[0] == "edge":
-                if len(fields) != 4:
-                    raise ValueError("expected 'edge u v index'")
-                assignment[(int(fields[1]), int(fields[2]))] = int(fields[3])
-            else:
-                raise ValueError(f"unknown record {fields[0]!r}")
-        except ValueError as exc:
-            raise FileFormatError(f"{path}, line {num}: {exc}") from exc
+
+    def parse(fields):
+        if fields[0] == "clique":
+            cliques.append(tuple(int(x) for x in fields[1:]))
+        elif fields[0] == "edge":
+            if len(fields) != 4:
+                raise ValueError("expected 'edge u v index'")
+            assignment[(int(fields[1]), int(fields[2]))] = int(fields[3])
+        else:
+            raise ValueError(f"unknown record {fields[0]!r}")
+
+    _read_lines(path, parse)
     return TransversalFactor(tuple(cliques), assignment)

@@ -1,5 +1,6 @@
 """The package's public names are pinned, so additions and removals are deliberate."""
 
+import ast
 import types
 from pathlib import Path
 
@@ -96,3 +97,23 @@ def test_bench_tracing_finds_every_timed_function(monkeypatch):
         assert absent == []
     finally:
         uninstall()
+
+
+
+def test_every_module_uses_its_imports():
+    # a deletion that leaves its imports behind fails here
+    unused = {}
+    for path in sorted(Path(krfactor.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}

@@ -431,6 +431,37 @@ class TestVerify:
         assert code == 1
         assert out.startswith("reject: ")
 
+    @pytest.mark.parametrize(
+        "certificate, reason",
+        [
+            ("0 2 4\n", "vertex 1 not covered"),
+            ("0 2 4\n0 3 5\n1 3 5\n", "vertex 0 covered twice"),
+            ("2 0 4\n1 3 5\n", "clique (2, 0, 4): not one vertex per part, in part order"),
+            ("0 2 9\n1 3 5\n", "clique (0, 2, 9): vertex 9 out of range"),
+            ("0 2 4\n1 3 5\n", "clique (1, 3, 5): missing edge (1, 5)"),
+            ("0 2\n1 3 5\n", "clique (0, 2): expected 3 vertices"),
+        ],
+    )
+    def test_factor_reject_reasons(self, capsys, tmp_path, certificate, reason):
+        g = PartiteGraph(3, 2, [e for e in PartiteGraph.complete(3, 2).edges() if e != (1, 5)])
+        gpath, cpath = tmp_path / "g.txt", tmp_path / "cert.txt"
+        write_graph_file(g, gpath)
+        cpath.write_text(certificate)
+        code, out, err = run_cli(
+            ["verify", "--graph", str(gpath), "--certificate", str(cpath)], capsys
+        )
+        assert (code, out, err) == (1, f"reject: {reason}\n", "")
+
+    def test_bad_certificate_token_names_the_line(self, capsys, tmp_path):
+        gpath, cpath = tmp_path / "g.txt", tmp_path / "cert.txt"
+        write_graph_file(PartiteGraph.complete(3, 2), gpath)
+        cpath.write_text("0 2 x\n1 3 5\n")
+        code, out, err = run_cli(
+            ["verify", "--graph", str(gpath), "--certificate", str(cpath)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert f"{cpath}, line 1: " in err
+
     def test_unparseable_certificate_exits_2(self, capsys, tmp_path):
         g = PartiteGraph.complete(3, 2)
         gpath, cpath = tmp_path / "g.json", tmp_path / "cert.txt"

@@ -14,7 +14,9 @@ from krfactor import (
     gen_min_degree_instance,
     gen_no_factor_witness,
     min_star_degree,
+    read_factor_certificate,
     read_graph_file,
+    read_transversal_certificate,
     sparsify,
     split_rounds,
     threshold_p,
@@ -266,3 +268,25 @@ class TestGraphFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileFormatError):
             read_graph_file(tmp_path / "nope.txt")
+
+
+@pytest.mark.parametrize(
+    "reader, lines",
+    [
+        (read_graph_file, ["3 2", "0 2", "1 3"]),
+        (read_factor_certificate, ["0 2 4", "1 3 5"]),
+        (read_transversal_certificate, ["clique 0 2 4", "edge 0 2 1", "edge 2 4 0"]),
+    ],
+)
+def test_text_readers_share_one_line_format(tmp_path, reader, lines):
+    plain, noisy = tmp_path / "plain.txt", tmp_path / "noisy.txt"
+    plain.write_text("\n".join(lines) + "\n")
+    noisy.write_text("# header\n\n" + "\n  # note\n   \n".join(lines) + "\n# end")
+    assert reader(noisy) == reader(plain)
+    # the bad token sits on line 5 of the file
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# header\n\n" + "\n".join(lines[:2] + ["7 x 9"] + lines[2:]) + "\n")
+    with pytest.raises(FileFormatError, match="bad.txt, line 5: "):
+        reader(bad)
+    with pytest.raises(FileFormatError, match="nope.txt: "):
+        reader(tmp_path / "nope.txt")

@@ -583,8 +583,8 @@ class TestBenchShape:
         assert rep.stages["round3"]["failed_tuple"] == 1
 
     def test_redraw_that_cannot_balance_is_a_spent_choice(self, monkeypatch):
-        # only the first choice may fail the run at balance_tuples; a redraw
-        # that cannot balance leaves the round-3 strand as the final error
+        # every choice that cannot be balanced is a spent choice, so the last
+        # round-3 strand remains the error
         calls = []
 
         def first_only(*args, **kwargs):

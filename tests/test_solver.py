@@ -52,7 +52,7 @@ class TestTilingTypes:
     def test_factor_requires_full_coverage(self):
         g = PartiteGraph.complete(3, 2)
         Factor(g, ((0, 2, 4), (1, 3, 5)))
-        with pytest.raises(ValueError, match="uncovered"):
+        with pytest.raises(ValueError, match="not covered"):
             Factor(g, ((0, 2, 4),))
 
 
@@ -307,6 +307,48 @@ class TestVerifyFactor:
         sparse = PartiteGraph(3, 2, [(0, 2), (1, 3), (1, 5), (3, 5)])
         ok, why = verify_factor(sparse, [(0, 2, 4), (1, 3, 5)])
         assert not ok and "missing edge" in why
+
+    @staticmethod
+    def _mutate(rnd, cliques, vertex_count):
+        cl = [list(K) for K in cliques]
+        for _ in range(rnd.randrange(3)):
+            op = rnd.randrange(6)
+            if op == 2:
+                rnd.shuffle(cl)
+            elif not cl:
+                continue
+            elif op == 0:
+                cl.pop(rnd.randrange(len(cl)))
+            elif op == 1:
+                cl.append(list(rnd.choice(cl)))
+            elif op == 3:
+                rnd.shuffle(rnd.choice(cl))
+            elif op == 4:
+                K = rnd.choice(cl)
+                K.insert(rnd.randrange(len(K) + 1), rnd.choice([-1, vertex_count]))
+            elif op == 5:
+                del rnd.choice(cl)[-1:]
+        return cl
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_agrees_with_brute_force_and_factor(self, r):
+        rnd = random.Random(r)
+        for n in (1, 2, 3):
+            complete = PartiteGraph.complete(r, n)
+            for t, p in enumerate((1.0, 0.8, 0.6)):
+                g = sparsify(complete, p, RandomSeed(t))
+                factors = set(brute_factors(g))
+                base = (find_factor(g) or find_factor(complete)).cliques
+                for _ in range(30):
+                    cl = self._mutate(rnd, base, g.vertex_count)
+                    ok, why = verify_factor(g, cl)
+                    assert ok == (tuple(sorted(map(tuple, cl))) in factors)
+                    try:
+                        Factor(g, cl)
+                    except ValueError as exc:
+                        assert (ok, why) == (False, str(exc))
+                    else:
+                        assert (ok, why) == (True, "")
 
 
 class TestCertificates:

@@ -305,6 +305,12 @@ class TestFamilyFiles:
         with pytest.raises(FileFormatError):
             read_family(tmp_path / "nowhere" / "manifest.json")
 
+    def test_manifest_must_be_an_object(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("[]")
+        with pytest.raises(FileFormatError, match="expected a JSON object"):
+            read_family(path)
+
     def test_plain_family_not_serializable(self, tmp_path):
         # plain adjacency masks never form a GraphFamily, so there is nothing to write
         plain = (PartiteGraph.complete(2, 2).adj,) * 2
