@@ -1,8 +1,8 @@
 """Density-regular partitioned instances for the multi-round pipeline.
 
 A partitioned instance is a host graph whose parts are split into k clusters
-each plus an exceptional leftover set; pair-density regularity between
-clusters is what the pipeline's reduced graph is built from.
+each plus an exceptional leftover set; the exact densities of cluster pairs
+are what the pipeline's reduced graph is built from.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from .errors import FileFormatError
 from .graphs import PartiteGraph, _read_json_object
 from .rng import RandomSeed, as_seed
 
-EXHAUSTIVE_LIMIT = 12  # exhaustive subset checking up to this side size
-_SAMPLE_BLOCK = 512  # sampled subset pairs drawn and counted per batch
+EXHAUSTIVE_LIMIT = 12  # largest side check_regular_pair accepts
 
 
 @dataclass(frozen=True)
@@ -124,9 +123,10 @@ def gen_super_regular_instance(
     Every cross-part vertex pair gets an independent edge coin: probability d
     between clustered vertices, b_attach when either endpoint is exceptional.
     b_size must be divisible by r (the exceptional set is spread evenly so
-    parts stay balanced). The stored check threshold is d - epsilon, so
-    sampling noise cannot orphan a planted pair; measured cluster-pair
-    densities ride along in `densities`.
+    parts stay balanced). The stored edge threshold params.d is d - epsilon,
+    so a planted pair keeps its reduced-graph edge unless its exact density
+    falls epsilon below d; measured cluster-pair densities ride along in
+    `densities`.
     """
     if r < 2 or k < 1 or cluster_size < 1:
         raise ValueError("need r >= 2, k >= 1, cluster_size >= 1")
@@ -188,39 +188,19 @@ class RegPairReport:
     regular: bool
     density: float
     epsilon: float
-    mode: str  # "exhaustive" | "sampled"
     witness: tuple | None  # (A, B, observed_density) when irregular
     pairs_checked: int
 
 
-def check_regular_pair(
-    g: PartiteGraph,
-    xs,
-    ys,
-    epsilon: float,
-    *,
-    mode: str = "auto",
-    samples: int = 500,
-    seed: RandomSeed | int = 0,
-) -> RegPairReport:
-    """Is the (X, Y) pair epsilon-regular?
+def check_regular_pair(g: PartiteGraph, xs, ys, epsilon: float) -> RegPairReport:
+    """Is the (X, Y) pair epsilon-regular? Exact, for sides of at most
+    EXHAUSTIVE_LIMIT vertices; larger sides raise ValueError.
 
-    Exhaustive when both sides have at most EXHAUSTIVE_LIMIT vertices: every
-    subset A of X with |A| >= eps|X| is paired against the extremal subsets of
-    Y of each admissible size (the densest/sparsest B of a given size against
-    a fixed A consist of the highest/lowest A-degree vertices, so sorted
-    prefixes cover all extremes). Otherwise uniformly sampled subset pairs;
-    a sampled "regular" verdict is evidence, not proof, while any witness
-    returned is exact.
-
-    Sampled mode draws, per sample and in this order from one generator
-    seeded by `seed`, |A| in [eps|X|, |X|], |B| likewise, then a permutation
-    of X and one of Y whose first |A| and |B| entries are the subsets. Draws
-    come in blocks of _SAMPLE_BLOCK (512) samples, and each block's e(A, B)
-    counts are one matrix product. The check stops after the first block
-    holding a deviation, and the witness is that block's first deviating
-    sample, so verdicts, witnesses and `pairs_checked` equal those of a
-    sample-by-sample loop.
+    Every subset A of X with |A| >= eps|X| is paired against the extremal
+    subsets of Y of each admissible size (the densest/sparsest B of a given
+    size against a fixed A consist of the highest/lowest A-degree vertices,
+    so sorted prefixes cover all extremes). The first pair whose density is
+    eps-far from the pair's own is the witness.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -237,120 +217,70 @@ def check_regular_pair(
     if g.part_of(X[0]) == g.part_of(Y[0]):
         raise ValueError("X and Y lie in the same part")
     lx, ly = len(X), len(Y)
+    if lx > EXHAUSTIVE_LIMIT or ly > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"exhaustive check limited to side size {EXHAUSTIVE_LIMIT}")
     M = unpack([g.adj[x] for x in X], g.vertex_count)[:, list(Y)]  # M[s, t]: X[s] ~ Y[t]
     density = int(M.sum()) / (lx * ly)
     a_min = max(1, fceil(epsilon * lx))
     b_min = max(1, fceil(epsilon * ly))
-    if mode == "auto":
-        mode = "exhaustive" if lx <= EXHAUSTIVE_LIMIT and ly <= EXHAUSTIVE_LIMIT else "sampled"
-    if mode == "exhaustive":
-        if lx > EXHAUSTIVE_LIMIT or ly > EXHAUSTIVE_LIMIT:
-            raise ValueError(
-                f"exhaustive mode limited to side size {EXHAUSTIVE_LIMIT}"
-            )
-        cols = pack(M.T)  # per-y adjacency masks over X-index space
-        checked = 0
-        for amask in range(1, 1 << lx):
-            sz = amask.bit_count()
-            if sz < a_min:
-                continue
-            deg = [(c & amask).bit_count() for c in cols]
-            order = sorted(range(ly), key=lambda t: (-deg[t], t))
-            prefix = [0]
-            for t in order:
-                prefix.append(prefix[-1] + deg[t])
-            total = prefix[-1]
-            for b in range(b_min, ly + 1):
-                for top, e_ab in ((True, prefix[b]), (False, total - prefix[ly - b])):
-                    checked += 1
-                    obs = e_ab / (sz * b)
-                    if abs(obs - density) >= epsilon:
-                        chosen = order[:b] if top else order[ly - b :]
-                        witness = (
-                            tuple(X[t] for t in bit_indices(amask)),
-                            tuple(sorted(Y[t] for t in chosen)),
-                            obs,
-                        )
-                        return RegPairReport(
-                            False, density, epsilon, "exhaustive", witness, checked
-                        )
-        return RegPairReport(True, density, epsilon, "exhaustive", None, checked)
-    if mode != "sampled":
-        raise ValueError("mode must be 'auto', 'exhaustive' or 'sampled'")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    gen = as_seed(seed).generator()
-    Mf = M.astype(np.float64)  # sums of 0/1 products are exact in float64
-    for start in range(0, samples, _SAMPLE_BLOCK):
-        block = min(_SAMPLE_BLOCK, samples - start)
-        sa = np.empty(block, np.int64)
-        sb = np.empty(block, np.int64)
-        PA = np.empty((block, lx), np.int64)
-        PB = np.empty((block, ly), np.int64)
-        for t in range(block):
-            sa[t] = gen.integers(a_min, lx + 1)
-            sb[t] = gen.integers(b_min, ly + 1)
-            PA[t] = gen.permutation(lx)
-            PB[t] = gen.permutation(ly)
-        # sample t's A is PA[t, :sa[t]]: index q is in it iff its position is below sa[t]
-        IA = PA.argsort(axis=1) < sa[:, None]
-        IB = PB.argsort(axis=1) < sb[:, None]
-        obs = ((IA @ Mf) * IB).sum(axis=1) / (sa * sb)
-        bad = np.flatnonzero(np.abs(obs - density) >= epsilon)
-        if bad.size:
-            t = int(bad[0])
-            witness = (
-                tuple(sorted(X[q] for q in PA[t, : sa[t]].tolist())),
-                tuple(sorted(Y[q] for q in PB[t, : sb[t]].tolist())),
-                float(obs[t]),
-            )
-            return RegPairReport(False, density, epsilon, "sampled", witness, start + t + 1)
-    return RegPairReport(True, density, epsilon, "sampled", None, samples)
+    cols = pack(M.T)  # per-y adjacency masks over X-index space
+    checked = 0
+    for amask in range(1, 1 << lx):
+        sz = amask.bit_count()
+        if sz < a_min:
+            continue
+        deg = [(c & amask).bit_count() for c in cols]
+        order = sorted(range(ly), key=lambda t: (-deg[t], t))
+        prefix = [0]
+        for t in order:
+            prefix.append(prefix[-1] + deg[t])
+        total = prefix[-1]
+        for b in range(b_min, ly + 1):
+            for top, e_ab in ((True, prefix[b]), (False, total - prefix[ly - b])):
+                checked += 1
+                obs = e_ab / (sz * b)
+                if abs(obs - density) >= epsilon:
+                    chosen = order[:b] if top else order[ly - b :]
+                    witness = (
+                        tuple(X[t] for t in bit_indices(amask)),
+                        tuple(sorted(Y[t] for t in chosen)),
+                        obs,
+                    )
+                    return RegPairReport(False, density, epsilon, witness, checked)
+    return RegPairReport(True, density, epsilon, None, checked)
 
 
 class ReducedGraphResult(NamedTuple):
     graph: PartiteGraph
-    reports: dict
+    densities: dict
 
 
-def build_reduced_graph(
-    instance: PartitionedInstance,
-    *,
-    seed: RandomSeed | int = 0,
-    samples: int = 500,
-) -> ReducedGraphResult:
-    """Cluster graph: one vertex per cluster, edges for dense regular pairs.
+def build_reduced_graph(instance: PartitionedInstance) -> ReducedGraphResult:
+    """Cluster graph: one vertex per cluster, edges for dense cluster pairs.
 
-    Cluster (i, c) becomes vertex i*k + c. A cross-part cluster pair gets an
-    edge iff check_regular_pair accepts it at params.epsilon and its density
-    is at least params.d.
+    Cluster (i, c) becomes vertex i*k + c. A cross-part pair of nonempty
+    clusters (X, Y) gets an edge iff its exact density e(X, Y) / (|X| |Y|) is
+    at least params.d; `densities` maps (i, ci, j, cj) to that density.
     """
     g = instance.host
     k = instance.params.k
-    eps = instance.params.epsilon
     d = instance.params.d
-    base = as_seed(seed)
     masks = [0] * (g.r * k)
-    reports: dict[tuple[int, int, int, int], RegPairReport] = {}
-    rank = 0
+    densities: dict[tuple[int, int, int, int], float] = {}
     for i, j in combinations(range(g.r), 2):
-        for ci in range(k):
-            for cj in range(k):
-                X = instance.clusters[i][ci]
-                Y = instance.clusters[j][cj]
-                rank += 1
+        for ci, X in enumerate(instance.clusters[i]):
+            for cj, Y in enumerate(instance.clusters[j]):
                 if not X or not Y:
                     continue
-                rep = check_regular_pair(
-                    g, X, Y, eps, samples=samples, seed=base.substream(rank)
-                )
-                reports[(i, ci, j, cj)] = rep
-                if rep.regular and rep.density >= d:
+                ymask = instance.cluster_mask(j, cj)
+                e_xy = sum((g.adj[x] & ymask).bit_count() for x in X)
+                density = densities[(i, ci, j, cj)] = e_xy / (len(X) * len(Y))
+                if density >= d:
                     u = i * k + ci
                     v = j * k + cj
                     masks[u] |= 1 << v
                     masks[v] |= 1 << u
-    return ReducedGraphResult(PartiteGraph.from_masks(g.r, k, masks), reports)
+    return ReducedGraphResult(PartiteGraph.from_masks(g.r, k, masks), densities)
 
 
 def instance_to_json(inst: PartitionedInstance) -> dict:

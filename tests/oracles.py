@@ -176,31 +176,6 @@ def brute_regular_pair(g, X, Y, epsilon) -> bool:
     return True
 
 
-def sampled_regular_pair_reference(g, X, Y, epsilon, samples, gen):
-    """Sample-by-sample regularity check: (regular, witness, pairs_checked).
-
-    Per sample, draws from `gen` in this order: |A| in [eps|X|, |X|], |B| in
-    [eps|Y|, |Y|], a permutation of X's indices and one of Y's; A and B are
-    the first |A| and |B| of them. e(A, B) is counted with plain sets, and the
-    first sample whose density is eps-far from the pair's is the witness.
-    """
-    X, Y = sorted(X), sorted(Y)
-    lx, ly = len(X), len(Y)
-    nbrs = {x: {y for y in Y if g.has_edge(x, y)} for x in X}
-    density = sum(len(nbrs[x]) for x in X) / (lx * ly)
-    a_min = max(1, math.ceil(epsilon * lx - 1e-9))
-    b_min = max(1, math.ceil(epsilon * ly - 1e-9))
-    for t in range(samples):
-        sa = int(gen.integers(a_min, lx + 1))
-        sb = int(gen.integers(b_min, ly + 1))
-        A = {X[q] for q in gen.permutation(lx)[:sa].tolist()}
-        B = {Y[q] for q in gen.permutation(ly)[:sb].tolist()}
-        obs = sum(len(nbrs[x] & B) for x in A) / (sa * sb)
-        if abs(obs - density) >= epsilon:
-            return False, (tuple(sorted(A)), tuple(sorted(B)), obs), t + 1
-    return True, None, samples
-
-
 def pair_density(g, A, B) -> float:
     return sum(g.has_edge(a, b) for a in A for b in B) / (len(A) * len(B))
 

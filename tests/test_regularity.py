@@ -9,7 +9,6 @@ from krfactor import (
     FileFormatError,
     PartiteGraph,
     PartitionedInstance,
-    RandomSeed,
     RegularityParams,
     build_reduced_graph,
     check_regular_pair,
@@ -23,7 +22,6 @@ from oracles import (
     brute_regular_pair,
     pair_density,
     ref_planted_masks,
-    sampled_regular_pair_reference,
 )
 
 
@@ -33,32 +31,6 @@ def _block_split(side):
     edges = [(x, 2 * side + y) for x in range(half) for y in range(half)]
     edges += [(x, 2 * side + y) for x in range(half, side) for y in range(half, side)]
     return PartiteGraph(2, 2 * side, edges), range(side), range(2 * side, 3 * side)
-
-
-def _random_pair(i):
-    """Seeded pair i: sides 13-60, dense, sparse or a noisy block split by i % 3."""
-    rnd = random.Random(i)
-    lx, ly = rnd.randint(13, 60), rnd.randint(13, 60)
-    if i % 3 == 2:
-        def prob(x, y):
-            return 0.9 if (x < lx // 2) == (y < ly // 2) else 0.1
-    else:
-        p = rnd.uniform(0.6, 0.95) if i % 3 == 0 else rnd.uniform(0.05, 0.35)
-
-        def prob(x, y):
-            return p
-    edges = [(x, 60 + y) for x in range(lx) for y in range(ly) if rnd.random() < prob(x, y)]
-    eps = rnd.choice((0.1, 0.15, 0.2))
-    samples = rnd.choice((1, 40, 300, 700))
-    return PartiteGraph(2, 60, edges), range(lx), range(60, 60 + ly), eps, samples
-
-
-def _sampled_and_reference(g, X, Y, eps, samples, seed):
-    rep = check_regular_pair(g, X, Y, eps, mode="sampled", samples=samples, seed=seed)
-    if rep.witness is not None:
-        assert type(rep.witness[2]) is float
-    ref = sampled_regular_pair_reference(g, X, Y, eps, samples, RandomSeed(seed).generator())
-    return (rep.regular, rep.witness, rep.pairs_checked), ref
 
 
 def _hand_instance():
@@ -174,7 +146,7 @@ class TestCheckRegularPair:
     def test_complete_and_empty_pairs_are_regular(self):
         g = PartiteGraph.complete(2, 6)
         rep = check_regular_pair(g, range(6), range(6, 12), 0.3)
-        assert rep.regular and rep.density == 1.0 and rep.mode == "exhaustive"
+        assert rep.regular and rep.density == 1.0
         rep = check_regular_pair(PartiteGraph(2, 6), range(6), range(6, 12), 0.3)
         assert rep.regular and rep.density == 0.0
 
@@ -194,45 +166,19 @@ class TestCheckRegularPair:
         for seed in range(6):
             g = sparsify(PartiteGraph.complete(2, 7), 0.5 + 0.05 * seed, seed)
             for eps in (0.25, 0.4):
-                rep = check_regular_pair(g, range(7), range(7, 14), eps, mode="exhaustive")
+                rep = check_regular_pair(g, range(7), range(7, 14), eps)
                 assert rep.regular == brute_regular_pair(g, range(7), range(7, 14), eps)
 
-    def test_auto_mode_switches_on_size(self):
-        g = PartiteGraph.complete(2, 13)
-        rep = check_regular_pair(g, range(13), range(13, 26), 0.3, samples=50)
-        assert rep.mode == "sampled" and rep.regular and rep.pairs_checked == 50
-        with pytest.raises(ValueError, match="exhaustive mode"):
-            check_regular_pair(g, range(13), range(13, 26), 0.3, mode="exhaustive")
-
-    def test_block_split_is_found_by_sampling(self):
-        # at epsilon 0.35 the sampled draws for seeds 0-19 find no deviating
-        # subset pair of this split at all, so the margin here is wider
-        g, X, Y = _block_split(20)
-        for seed in range(20):
-            rep = check_regular_pair(g, X, Y, 0.15, mode="sampled", seed=seed)
-            assert not rep.regular, seed
-            A, B, obs = rep.witness
-            assert obs == pair_density(g, A, B)
-            assert abs(obs - rep.density) >= 0.15
-
-    def test_sampled_matches_reference(self):
-        count = 240
-        irregular = 0
-        for i in range(count):
-            got, ref = _sampled_and_reference(*_random_pair(i), seed=i)
-            assert got == ref, i
-            irregular += not got[0]
-        assert 0.2 * count <= irregular <= 0.8 * count
-
-    def test_samples_beyond_one_block_match_reference(self):
-        g, X, Y = _block_split(20)
-        checked = []
-        for seed in range(20):
-            got, ref = _sampled_and_reference(g, X, Y, 0.25, 1500, seed)
-            assert got == ref, seed
-            checked.append(got[2])
-        assert 1500 in checked  # regular through three blocks
-        assert any(512 < c < 1500 for c in checked)  # witness after the first block
+    def test_side_limit(self):
+        g, X, Y = _block_split(12)
+        rep = check_regular_pair(g, X, Y, 0.3)
+        assert not rep.regular and rep.density == 0.5
+        A, B, obs = rep.witness
+        assert obs == pair_density(g, A, B)
+        assert abs(obs - rep.density) >= 0.3
+        g, X, Y = _block_split(13)
+        with pytest.raises(ValueError, match="exhaustive check limited to side size 12"):
+            check_regular_pair(g, X, Y, 0.3)
 
     def test_validation(self):
         g = PartiteGraph.complete(2, 6)
@@ -246,35 +192,62 @@ class TestCheckRegularPair:
             check_regular_pair(PartiteGraph.complete(3, 6), [0, 6], [12], 0.3)
         with pytest.raises(ValueError):
             check_regular_pair(g, [0], [6], 1.5)
-        with pytest.raises(ValueError):
-            check_regular_pair(g, [0], [6], 0.3, mode="guess")
-        with pytest.raises(ValueError):
-            check_regular_pair(g, range(6), range(6, 12), 0.3, mode="sampled", samples=0)
 
 
 class TestReducedGraph:
     def test_hand_instance(self):
         inst = _hand_instance()
         res = build_reduced_graph(inst)
-        assert len(res.reports) == 4
-        assert not res.reports[(0, 1, 1, 0)].regular
-        assert res.reports[(0, 0, 1, 1)].regular  # empty pair: regular, low density
+        assert res.densities == {
+            (0, 0, 1, 0): 1.0,
+            (0, 0, 1, 1): 0.0,
+            (0, 1, 1, 0): 0.5,
+            (0, 1, 1, 1): 1.0,
+        }
+        # the half split has density 0.5 = d, so the edge rule's >= keeps it
         edges = set(res.graph.edges())
-        assert edges == {(0, 2), (1, 3)}
+        assert edges == {(0, 2), (1, 2), (1, 3)}
 
     def test_complete_instance_gives_complete_reduced(self):
         inst = gen_super_regular_instance(3, 2, 4, 1.0, 0, 1)
         res = build_reduced_graph(inst)
         assert res.graph == PartiteGraph.complete(3, 2)
-        assert all(rep.regular for rep in res.reports.values())
 
     def test_planted_instance_keeps_cluster_pairs(self):
         inst = gen_super_regular_instance(3, 2, 30, 0.85, 0, 3, epsilon=0.25)
-        res = build_reduced_graph(inst, seed=9, samples=200)
-        # at density 0.85 a 0.25-deviation on sampled subsets is ~5 sigma out,
-        # so every planted pair keeps its edge
+        res = build_reduced_graph(inst)
+        # every planted density lies well within 0.25 of 0.85
         assert res.graph.edge_count() == 12
-        assert all(rep.regular for rep in res.reports.values())
+
+    def test_matches_pair_density(self):
+        rnd = random.Random(11)
+        edges = non_edges = 0
+        for seed in range(60):
+            r, k, size = rnd.randint(2, 4), rnd.randint(1, 3), rnd.randint(1, 15)
+            inst = gen_super_regular_instance(r, k, size, rnd.uniform(0.3, 0.95), 0, seed)
+            if seed % 2:
+                inst = dataclasses.replace(
+                    inst, host=sparsify(inst.host, rnd.uniform(0.5, 1.0), seed)
+                )
+            if seed % 3 == 0:  # uneven and empty clusters
+                drop = sum(1 << v for v in range(inst.host.vertex_count) if rnd.random() < 0.3)
+                inst = residual_instance(inst, drop)
+            res = build_reduced_graph(inst)
+            expected = {}
+            for i in range(r):
+                for j in range(i + 1, r):
+                    for ci, X in enumerate(inst.clusters[i]):
+                        for cj, Y in enumerate(inst.clusters[j]):
+                            u, v = i * k + ci, j * k + cj
+                            if not X or not Y:
+                                assert not res.graph.has_edge(u, v)
+                                continue
+                            dens = expected[(i, ci, j, cj)] = pair_density(inst.host, X, Y)
+                            assert res.graph.has_edge(u, v) == (dens >= inst.params.d), seed
+                            edges += dens >= inst.params.d
+                            non_edges += dens < inst.params.d
+            assert res.densities == expected, seed
+        assert edges and non_edges
 
 
 class TestInstanceFiles:
