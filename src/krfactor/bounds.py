@@ -13,6 +13,8 @@ from itertools import combinations
 from .cliques import CliqueFamily
 from .errors import BudgetExceededError
 
+PAIR_CHECK_BUDGET = 2_000_000  # vertex-sharing clique pairs janson_lambda_delta may visit
+
 
 def chernoff_bound(lambda_exp: float, a: float, tail: str) -> float:
     """exp(-a^2 * lambda / 3) above the mean, exp(-a^2 * lambda / 2) below."""
@@ -29,15 +31,13 @@ def chernoff_bound(lambda_exp: float, a: float, tail: str) -> float:
     raise ValueError("tail must be 'upper' or 'lower'")
 
 
-def janson_lambda_delta(
-    family: CliqueFamily, p: float, *, max_pair_checks: int = 2_000_000
-) -> tuple[float, float]:
+def janson_lambda_delta(family: CliqueFamily, p: float) -> tuple[float, float]:
     """(lambda, delta_bar) for the surviving-clique count at edge probability p.
 
     lambda = |F| * p^C(r,2). delta_bar sums p^{|E(F) ∪ E(F')|} over ordered
     clique pairs sharing at least one vertex, diagonal included, so
     delta_bar >= lambda always. Pairs are found through per-vertex incidence
-    lists; the work is guarded by max_pair_checks.
+    lists; more than PAIR_CHECK_BUDGET of them raise BudgetExceededError.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
@@ -61,9 +61,9 @@ def janson_lambda_delta(
                     continue
                 seen.add(b_idx)
                 checks += 1
-                if checks > max_pair_checks:
+                if checks > PAIR_CHECK_BUDGET:
                     raise BudgetExceededError(
-                        f"more than {max_pair_checks} vertex-sharing clique pairs"
+                        f"more than {PAIR_CHECK_BUDGET} vertex-sharing clique pairs"
                     )
                 union = edges_per if b_idx == a_idx else len(ea | esets[b_idx])
                 delta += p**union

@@ -556,10 +556,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceededError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except RuntimeError as exc:  # a valid run that failed, budget stops included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,7 @@ lexicographic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from ._num import bit_indices
 from .errors import BudgetExceededError
@@ -34,6 +34,14 @@ def _clique_stream(g: PartiteGraph, allowed):
             yield from rec(depth + 1, common & adj[v])
 
     return rec(0, (1 << g.vertex_count) - 1)
+
+
+def _clique_list(g: PartiteGraph, allowed, limit: int | None) -> list[tuple[int, ...]]:
+    """`_clique_stream` as a list; past `limit` (None: no limit) raises BudgetExceededError."""
+    out = list(islice(_clique_stream(g, allowed), None if limit is None else limit + 1))
+    if limit is not None and len(out) > limit:
+        raise BudgetExceededError(f"more than {limit} transversal cliques")
+    return out
 
 
 def check_clique(g: PartiteGraph, K) -> None:
@@ -79,11 +87,4 @@ class CliqueFamily:
 
 def enumerate_kr(g: PartiteGraph, *, max_cliques: int | None = None) -> CliqueFamily:
     """All transversal cliques of g, lexicographically ordered."""
-    out = []
-    for K in _clique_stream(g, g.part_masks):
-        out.append(K)
-        if max_cliques is not None and len(out) > max_cliques:
-            raise BudgetExceededError(
-                f"more than {max_cliques} cliques; raise max_cliques or use sampling"
-            )
-    return CliqueFamily(g, tuple(out))
+    return CliqueFamily(g, tuple(_clique_list(g, g.part_masks, max_cliques)))

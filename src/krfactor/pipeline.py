@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, islice
 
 from ._num import bit_indices, ffloor, mask_of
-from .cliques import _clique_stream, check_clique
+from .cliques import _clique_list, _clique_stream, check_clique
 from .errors import BalanceError, BalanceTuplesError, BudgetExceededError, CoverError
 from .graphs import PartiteGraph, min_star_degree, split_rounds, sparsify
 from .regularity import PartitionedInstance, build_reduced_graph, residual_instance
@@ -280,8 +280,6 @@ def balance_tuples(
     omega,
     target: int,
     seed,
-    *,
-    max_rows: int = DEFAULT_ROW_BUDGET,
 ) -> Tiling:
     """Extract omega(K) disjoint present cliques per cluster tuple K.
 
@@ -291,7 +289,8 @@ def balance_tuples(
     among those avoiding the copies already drawn. A tuple whose random
     choice runs out of candidates before omega(K) copies raises
     BalanceTuplesError; that is no proof that the copies cannot be disjoint,
-    and another choice may succeed.
+    and another choice may succeed. A tuple with more than DEFAULT_ROW_BUDGET
+    candidates raises BudgetExceededError.
     """
     if target < 0:
         raise ValueError("target must be nonnegative")
@@ -338,9 +337,7 @@ def balance_tuples(
             continue
         # enumerated once: each copy draws from those avoiding earlier copies
         masks = [avail[K[i]] & ~used for i in range(r)]
-        cand = list(islice(_clique_stream(g_round, masks), max_rows + 1))
-        if len(cand) > max_rows:
-            raise BudgetExceededError(f"tuple {K}: more than {max_rows} candidate cliques")
+        cand = _clique_list(g_round, masks, DEFAULT_ROW_BUDGET)
         cmasks = [mask_of(cl) for cl in cand]
         live = range(len(cand))
         picks = []

@@ -8,7 +8,7 @@ are what the pipeline's reduced graph is built from.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
@@ -58,7 +58,6 @@ class PartitionedInstance:
     exceptional: tuple[int, ...]
     params: RegularityParams
     reserved: tuple[int, ...] | None = None
-    densities: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         g = self.host
@@ -125,8 +124,7 @@ def gen_super_regular_instance(
     b_size must be divisible by r (the exceptional set is spread evenly so
     parts stay balanced). The stored edge threshold params.d is d - epsilon,
     so a planted pair keeps its reduced-graph edge unless its exact density
-    falls epsilon below d; measured cluster-pair densities ride along in
-    `densities`.
+    falls epsilon below d.
     """
     if r < 2 or k < 1 or cluster_size < 1:
         raise ValueError("need r >= 2, k >= 1, cluster_size >= 1")
@@ -146,7 +144,6 @@ def gen_super_regular_instance(
     n = core + b_per
     base = as_seed(seed)
     adj = np.zeros((r * n, r * n), dtype=bool)
-    densities: dict[tuple[int, int, int, int], float] = {}
     for rank, (i, j) in enumerate(combinations(range(r), 2)):
         gen = base.substream(rank).generator()
         coins = gen.random((n, n))
@@ -155,13 +152,6 @@ def gen_super_regular_instance(
             thresh[core:, :] = b_attach
             thresh[:, core:] = b_attach
         bools = coins < thresh
-        for ci in range(k):
-            for cj in range(k):
-                block = bools[
-                    ci * cluster_size : (ci + 1) * cluster_size,
-                    cj * cluster_size : (cj + 1) * cluster_size,
-                ]
-                densities[(i, ci, j, cj)] = float(block.sum()) / (cluster_size**2)
         adj[i * n : (i + 1) * n, j * n : (j + 1) * n] = bools
         adj[j * n : (j + 1) * n, i * n : (i + 1) * n] = bools.T
     clusters = tuple(
@@ -179,7 +169,6 @@ def gen_super_regular_instance(
         clusters=clusters,
         exceptional=exceptional,
         params=params,
-        densities=densities,
     )
 
 
@@ -297,11 +286,6 @@ def instance_to_json(inst: PartitionedInstance) -> dict:
         "clusters": [[list(cl) for cl in part] for part in inst.clusters],
         "exceptional": list(inst.exceptional),
         "reserved": list(inst.reserved) if inst.reserved is not None else None,
-        "densities": (
-            [[*key, val] for key, val in sorted(inst.densities.items())]
-            if inst.densities is not None
-            else None
-        ),
         "edges": [[u, v] for u, v in inst.host.edges()],
     }
 
@@ -316,9 +300,6 @@ def instance_from_json(payload: dict) -> PartitionedInstance:
         host = PartiteGraph(
             int(payload["r"]), int(payload["n"]), [tuple(e) for e in payload["edges"]]
         )
-        densities = None
-        if payload.get("densities") is not None:
-            densities = {tuple(row[:4]): float(row[4]) for row in payload["densities"]}
         reserved = payload.get("reserved")
         return PartitionedInstance(
             host=host,
@@ -326,7 +307,6 @@ def instance_from_json(payload: dict) -> PartitionedInstance:
             exceptional=tuple(payload["exceptional"]),
             params=params,
             reserved=tuple(reserved) if reserved is not None else None,
-            densities=densities,
         )
     except FileFormatError:
         raise

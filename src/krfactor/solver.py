@@ -9,17 +9,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 from ._num import bit_indices, mask_of
-from .cliques import _clique_stream, check_clique
+from .cliques import _clique_list, check_clique
 from .errors import BudgetExceededError
 from .exact_cover import ExactCover
 from .graphs import PartiteGraph, _read_lines
 from .rng import RandomSeed, as_seed, randbelow
 
-DEFAULT_ROW_BUDGET = 5_000_000
+DEFAULT_ROW_BUDGET = 5_000_000  # transversal cliques one exact search may enumerate
+SPREAD_FACTOR_BUDGET = 200_000  # factors the exact spread profile may list
 
 
 @dataclass(frozen=True)
@@ -104,21 +105,9 @@ def _matching_cover(g: PartiteGraph, allowed):
     return [K for K, _ in partial]
 
 
-def _clique_rows(g: PartiteGraph, allowed, max_rows: int):
-    rows = []
-    for K in _clique_stream(g, allowed):
-        rows.append(K)
-        if len(rows) > max_rows:
-            raise BudgetExceededError(
-                f"clique row budget exceeded ({max_rows}); raise max_rows "
-                "or switch to sampled estimates"
-            )
-    return rows
-
-
-def _build_cover(g: PartiteGraph, allowed, max_rows: int):
+def _build_cover(g: PartiteGraph, allowed):
     """Exact-cover instance over the vertices in `allowed`; None if hopeless."""
-    rows = _clique_rows(g, allowed, max_rows)
+    rows = _clique_list(g, allowed, DEFAULT_ROW_BUDGET)
     target = 0
     for m in allowed:
         target |= m
@@ -137,12 +126,12 @@ def _build_cover(g: PartiteGraph, allowed, max_rows: int):
     return dlx, rows
 
 
-def _first_cover(g: PartiteGraph, allowed, max_rows: int):
+def _first_cover(g: PartiteGraph, allowed):
     """Matching cover, else the first exact cover; sorted cliques or None."""
     matched = _matching_cover(g, allowed)
     if matched is not None:
         return tuple(sorted(matched))
-    built = _build_cover(g, allowed, max_rows)
+    built = _build_cover(g, allowed)
     if built is None:
         return None
     dlx, rows = built
@@ -152,7 +141,7 @@ def _first_cover(g: PartiteGraph, allowed, max_rows: int):
     return tuple(sorted(rows[i] for i in sol))
 
 
-def find_factor(g: PartiteGraph, *, max_rows: int = DEFAULT_ROW_BUDGET):
+def find_factor(g: PartiteGraph):
     """First clique factor of g, or None if none exists.
 
     The factor is first built part by part with bipartite matchings (see
@@ -160,11 +149,11 @@ def find_factor(g: PartiteGraph, *, max_rows: int = DEFAULT_ROW_BUDGET):
     exact-cover search (branching on the most constrained vertex) decides,
     so a None answer is certified by complete search.
     """
-    sol = _first_cover(g, g.part_masks, max_rows)
+    sol = _first_cover(g, g.part_masks)
     return None if sol is None else Factor(g, sol)
 
 
-def solve_restricted(g: PartiteGraph, allowed, *, max_rows: int = DEFAULT_ROW_BUDGET):
+def solve_restricted(g: PartiteGraph, allowed):
     """Exact cover of exactly the vertices in `allowed` (one mask per part).
 
     Returns a tuple of cliques or None. Same guarantees as find_factor.
@@ -174,19 +163,19 @@ def solve_restricted(g: PartiteGraph, allowed, *, max_rows: int = DEFAULT_ROW_BU
     for i, m in enumerate(allowed):
         if m & ~g.part_mask(i):
             raise ValueError(f"allowed[{i}] leaves part {i}")
-    return _first_cover(g, list(allowed), max_rows)
+    return _first_cover(g, list(allowed))
 
 
-def count_factors(g: PartiteGraph, *, max_rows: int = DEFAULT_ROW_BUDGET) -> int:
+def count_factors(g: PartiteGraph) -> int:
     """Exact number of clique factors of g."""
-    built = _build_cover(g, g.part_masks, max_rows)
+    built = _build_cover(g, g.part_masks)
     if built is None:
         return 0
     dlx, _ = built
     return dlx.count_solutions()
 
 
-def _factor_sampler(g: PartiteGraph, max_rows: int):
+def _factor_sampler(g: PartiteGraph):
     """draw(seed) -> an exactly uniform random factor of g.
 
     Counts the factors of every residual vertex set reachable from the full
@@ -194,9 +183,8 @@ def _factor_sampler(g: PartiteGraph, max_rows: int):
     explicit stack, then walks down proportionally to the counts. Raises
     ValueError when no factor exists.
     """
-    rows = _clique_rows(g, g.part_masks, max_rows)
     by_vertex: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(g.vertex_count)]
-    for K in rows:
+    for K in _clique_list(g, g.part_masks, DEFAULT_ROW_BUDGET):
         m = mask_of(K)
         for v in K:
             by_vertex[v].append((m, K))
@@ -238,16 +226,14 @@ def _factor_sampler(g: PartiteGraph, max_rows: int):
     return draw
 
 
-def sample_factor_uniform(
-    g: PartiteGraph, seed: RandomSeed | int, *, max_rows: int = DEFAULT_ROW_BUDGET
-):
+def sample_factor_uniform(g: PartiteGraph, seed: RandomSeed | int):
     """An exactly uniform random factor of g.
 
     Meant for small hosts: the count table holds one entry per reachable
-    residual vertex set, and the clique row budget is the only guard. Raises
-    ValueError when no factor exists.
+    residual vertex set, and DEFAULT_ROW_BUDGET on the host's cliques is the
+    only guard. Raises ValueError when no factor exists.
     """
-    return _factor_sampler(g, max_rows)(seed)
+    return _factor_sampler(g)(seed)
 
 
 @dataclass(frozen=True)
@@ -269,31 +255,31 @@ def estimate_spread(
     seed: RandomSeed | int = 0,
     *,
     samples: int = 2000,
-    max_rows: int = DEFAULT_ROW_BUDGET,
-    max_factors: int = 200_000,
 ) -> SpreadEstimate:
-    """Spread profile of the uniform factor distribution, exact or sampled."""
+    """Spread profile of the uniform factor distribution, exact or sampled.
+
+    The exact mode lists every factor, at most SPREAD_FACTOR_BUDGET of them.
+    """
     if max_subset < 1:
         raise ValueError("max_subset must be at least 1")
     if mode == "exact":
-        built = _build_cover(g, g.part_masks, max_rows)
+        built = _build_cover(g, g.part_masks)
         if built is None:
             raise ValueError("graph has no factor")
         dlx, rows = built
-        factor_sets = []
-        for sol in dlx.solutions():
-            factor_sets.append(tuple(sorted(rows[i] for i in sol)))
-            if len(factor_sets) > max_factors:
-                raise BudgetExceededError(
-                    f"more than {max_factors} factors; use mode='sampled'"
-                )
+        sols = islice(dlx.solutions(), SPREAD_FACTOR_BUDGET + 1)
+        factor_sets = [tuple(sorted(rows[i] for i in sol)) for sol in sols]
+        if len(factor_sets) > SPREAD_FACTOR_BUDGET:
+            raise BudgetExceededError(
+                f"more than {SPREAD_FACTOR_BUDGET} factors; use mode='sampled'"
+            )
         if not factor_sets:
             raise ValueError("graph has no factor")
     elif mode == "sampled":
         if samples < 1:
             raise ValueError("samples must be positive")
         base = as_seed(seed)
-        draw = _factor_sampler(g, max_rows)
+        draw = _factor_sampler(g)
         factor_sets = [draw(base.substream(t)).cliques for t in range(samples)]
     else:
         raise ValueError("mode must be 'exact' or 'sampled'")

@@ -1,6 +1,7 @@
 """The package's public names are pinned, so additions and removals are deliberate."""
 
 import ast
+import inspect
 import types
 from pathlib import Path
 
@@ -84,6 +85,23 @@ def test_public_names_are_pinned():
         if not isinstance(getattr(krfactor, name), types.ModuleType)
     )
     assert names == PUBLIC_API
+
+
+def test_budget_keywords_are_pinned():
+    # search budgets are module constants (solver.DEFAULT_ROW_BUDGET,
+    # solver.SPREAD_FACTOR_BUDGET, bounds.PAIR_CHECK_BUDGET); a caller sets its
+    # own only where a caller outside the tests needs another value
+    found = set()
+    for name in PUBLIC_API:
+        obj = getattr(krfactor, name)
+        if inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        found.update((name, p) for p in inspect.signature(obj).parameters if p.startswith("max_"))
+    assert found == {
+        ("balance_weights", "max_rows"),  # the bench and criterion 05 pass 2,000,000
+        ("enumerate_kr", "max_cliques"),  # janson-report's --max-cliques
+        ("estimate_spread", "max_subset"),  # the profile's depth, not a budget
+    }
 
 
 def test_bench_tracing_finds_every_timed_function(monkeypatch):

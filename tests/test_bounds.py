@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import krfactor.bounds
 from krfactor import (
     BudgetExceededError,
     CliqueFamily,
@@ -89,10 +90,11 @@ class TestJansonMoments:
         lam, delta = janson_lambda_delta(enumerate_kr(g), p)
         assert delta >= lam - 1e-12
 
-    def test_pair_budget(self):
+    def test_pair_budget(self, monkeypatch):
         fam = enumerate_kr(PartiteGraph.complete(3, 2))
-        with pytest.raises(BudgetExceededError):
-            janson_lambda_delta(fam, 0.5, max_pair_checks=10)
+        monkeypatch.setattr(krfactor.bounds, "PAIR_CHECK_BUDGET", 10)
+        with pytest.raises(BudgetExceededError, match="more than 10 vertex-sharing clique pairs"):
+            janson_lambda_delta(fam, 0.5)
 
     def test_rejects_bad_p(self):
         fam = enumerate_kr(PartiteGraph.complete(3, 2))

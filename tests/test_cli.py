@@ -263,6 +263,17 @@ class TestJansonReport:
         assert out == ""
         assert err.startswith("error: ") and "--mc-trials" in err
 
+    def test_budget_stop_exits_1(self, capsys, k222_path):
+        # valid input that stops at a search budget is not bad input
+        code, out, err = run_cli(
+            ["janson-report", "--graph", k222_path, "--p", "0.5",
+             "--max-cliques", "3"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: more than 3 transversal cliques\n"
+
     def test_missing_graph_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             ["janson-report", "--graph", str(tmp_path / "nope.json"), "--p", "0.5"],

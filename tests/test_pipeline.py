@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import krfactor.pipeline
 from krfactor import (
     BalanceError,
     BalanceTuplesError,
@@ -399,10 +400,11 @@ class TestBalanceTuples:
         with pytest.raises(ValueError, match="not a part-0 cluster"):
             balance_tuples(inst.host, inst, {(1, 1, 2): 1}, 3, 0)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         inst = _full_part_instance(3, 4)
-        with pytest.raises(BudgetExceededError):
-            balance_tuples(inst.host, inst, {(0, 1, 2): 1}, 3, 0, max_rows=0)
+        monkeypatch.setattr(krfactor.pipeline, "DEFAULT_ROW_BUDGET", 0)
+        with pytest.raises(BudgetExceededError, match="more than 0 transversal cliques"):
+            balance_tuples(inst.host, inst, {(0, 1, 2): 1}, 3, 0)
 
 
 class TestRunPipeline:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import krfactor.solver
 from krfactor import (
     BudgetExceededError,
     Factor,
@@ -214,9 +215,10 @@ class TestCountFactors:
         g = sparsify(PartiteGraph.complete(3, 2), p, seed)
         assert count_factors(g) == brute_count_factors(g)
 
-    def test_row_budget(self):
-        with pytest.raises(BudgetExceededError, match="row budget"):
-            count_factors(PartiteGraph.complete(3, 4), max_rows=10)
+    def test_row_budget(self, monkeypatch):
+        monkeypatch.setattr(krfactor.solver, "DEFAULT_ROW_BUDGET", 10)
+        with pytest.raises(BudgetExceededError, match="more than 10 transversal cliques"):
+            count_factors(PartiteGraph.complete(3, 4))
 
 
 class TestSampleFactorUniform:
@@ -276,15 +278,16 @@ class TestEstimateSpread:
         )
         assert est.values == {1: max(counts.values()) / 800}
 
-    def test_error_paths(self):
+    def test_error_paths(self, monkeypatch):
         with pytest.raises(ValueError, match="no factor"):
             estimate_spread(gen_no_factor_witness(3, 2, 5).graph, 1)
         with pytest.raises(ValueError):
             estimate_spread(PartiteGraph.complete(3, 2), 0)
         with pytest.raises(ValueError):
             estimate_spread(PartiteGraph.complete(3, 2), 1, mode="guess")
-        with pytest.raises(BudgetExceededError):
-            estimate_spread(PartiteGraph.complete(3, 3), 1, max_factors=10)
+        monkeypatch.setattr(krfactor.solver, "SPREAD_FACTOR_BUDGET", 10)
+        with pytest.raises(BudgetExceededError, match="more than 10 factors"):
+            estimate_spread(PartiteGraph.complete(3, 3), 1)
 
 
 class TestVerifyFactor:
