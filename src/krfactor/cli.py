@@ -307,6 +307,14 @@ def _cmd_sweep(mode: str):
     return run
 
 
+def _bound_or_none(bound, *args):
+    """bound(*args), or None where the bound rejects its arguments."""
+    try:
+        return bound(*args)
+    except ValueError:
+        return None
+
+
 def cmd_janson_report(args) -> int:
     if not 0.0 <= args.p <= 1.0:
         raise FileFormatError(f"p={args.p} outside [0, 1]")
@@ -315,19 +323,15 @@ def cmd_janson_report(args) -> int:
     g = read_graph_file(args.graph)
     family = enumerate_kr(g, max_cliques=args.max_cliques)
     lam, delta_bar = janson_lambda_delta(family, args.p)
-    bounds = []
-    for a in _parse_list(args.deviations, "deviations"):
-        entry: dict = {"a": a}
-        entry["janson_lower"] = (
-            janson_lower_bound(lam, delta_bar, a)
-            if 0 < a < 1 and delta_bar > 0
-            else None
-        )
-        entry["chernoff_upper"] = (
-            chernoff_bound(lam, a, "upper") if 0 < a < 1.5 else None
-        )
-        entry["chernoff_lower"] = chernoff_bound(lam, a, "lower") if 0 < a < 1 else None
-        bounds.append(entry)
+    bounds = [
+        {
+            "a": a,
+            "janson_lower": _bound_or_none(janson_lower_bound, lam, delta_bar, a),
+            "chernoff_upper": _bound_or_none(chernoff_bound, lam, a, "upper"),
+            "chernoff_lower": _bound_or_none(chernoff_bound, lam, a, "lower"),
+        }
+        for a in _parse_list(args.deviations, "deviations")
+    ]
     monte_carlo = None
     if args.mc_trials > 0:
         base = RandomSeed(args.seed)
@@ -355,9 +359,10 @@ def cmd_janson_report(args) -> int:
     return 0
 
 
-def _gen_instance(args, seed, needs: str):
-    """Planted pipeline instance from the shape flags; `needs` prefixes the
-    list of missing flags in the error."""
+def _gen_instance(args, needs: str):
+    """Planted pipeline instance from the shape flags, drawn from substream 999
+    of --seed (so `gen --kind pipeline` writes what `pipeline-run` plants);
+    `needs` prefixes the list of missing flags in the error."""
     missing = [
         flag
         for flag, val in (
@@ -377,7 +382,7 @@ def _gen_instance(args, seed, needs: str):
         args.cluster_size,
         args.d,
         args.b_size,
-        seed,
+        RandomSeed(args.seed).substream(999),
         b_attach=args.b_attach,
         gamma=args.gamma,
     )
@@ -387,11 +392,7 @@ def cmd_pipeline_run(args) -> int:
     if args.instance is not None:
         inst = read_instance(args.instance)
     else:
-        inst = _gen_instance(
-            args,
-            RandomSeed(args.seed).substream(999),
-            "pipeline-run needs --instance or all of ",
-        )
+        inst = _gen_instance(args, "pipeline-run needs --instance or all of ")
     report = run_pipeline(inst, args.p, args.seed, alpha=args.alpha, mu=args.mu)
     _write_out(report.to_json(), args.out)
     if not report.success:
@@ -443,7 +444,7 @@ def cmd_gen(args) -> int:
         print(manifest)
         return 0
     elif args.kind == "pipeline":
-        write_instance(_gen_instance(args, seed, "gen --kind pipeline needs "), args.out)
+        write_instance(_gen_instance(args, "gen --kind pipeline needs "), args.out)
     else:  # pragma: no cover - argparse restricts choices
         raise FileFormatError(f"unknown kind {args.kind}")
     print(args.out)

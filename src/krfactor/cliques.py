@@ -86,5 +86,8 @@ class CliqueFamily:
 
 
 def enumerate_kr(g: PartiteGraph, *, max_cliques: int | None = None) -> CliqueFamily:
-    """All transversal cliques of g, lexicographically ordered."""
+    """All transversal cliques of g, lexicographically ordered; more than
+    max_cliques (None: no limit) raise BudgetExceededError."""
+    if max_cliques is not None and max_cliques < 0:
+        raise ValueError("max_cliques must be nonnegative")
     return CliqueFamily(g, tuple(_clique_list(g, g.part_masks, max_cliques)))

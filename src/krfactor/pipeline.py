@@ -296,7 +296,7 @@ def balance_tuples(
         raise ValueError("target must be nonnegative")
     if instance.reserved is None:
         raise ValueError("instance has no reserved pool to draw from")
-    k = instance.params.k
+    k = instance.k
     r = g_round.r
     implied = {}
     for K, w in sorted(omega.items()):
@@ -371,7 +371,7 @@ def _reserve_conditions(
     degree split is tallied as a diagnostic only.
     """
     g = inst.host
-    r, n, k = g.r, g.n, inst.params.k
+    r, n, k = g.r, g.n, inst.k
     gamma = inst.params.gamma
     nominal = n / k
     cmasks = [[inst.cluster_mask(i, c) for c in range(k)] for i in range(r)]
@@ -466,7 +466,7 @@ def run_pipeline(
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     g = instance.host
-    r, n, k = g.r, g.n, instance.params.k
+    r, n, k = g.r, g.n, instance.k
     gamma = instance.params.gamma
     base = as_seed(seed)
     p_round = split_rounds(p, 3)
@@ -492,9 +492,7 @@ def run_pipeline(
         inst_w, attempts = instance, 0
         _, diag = _reserve_conditions(instance, instance.reserved_mask(), alpha)
     else:
-        eligible = [
-            v for v in range(g.vertex_count) if not (bmask >> v) & 1
-        ]
+        eligible = sorted(v for part in instance.clusters for cl in part for v in cl)
         for attempt in range(RESERVE_ATTEMPTS):
             gen = base.substream(0).substream(attempt).generator()
             coins = gen.random(len(eligible)) < 0.5
@@ -512,7 +510,7 @@ def run_pipeline(
     wmask = inst_w.reserved_mask()
     stages["reserve"] = {"size": wmask.bit_count(), "attempts": attempts, "conditions": diag}
     # --- round 1: cover the exceptional set --------------------------------
-    roots = sorted(instance.exceptional)
+    roots = instance.exceptional
     quotas = [instance.clusters[i][c] for i in range(r) for c in range(k)]
     try:
         cover = cover_exceptional(

@@ -1,8 +1,8 @@
 """Density-regular partitioned instances for the multi-round pipeline.
 
 A partitioned instance is a host graph whose parts are split into k clusters
-each plus an exceptional leftover set; the exact densities of cluster pairs
-are what the pipeline's reduced graph is built from.
+each; the exceptional set is what the clusters leave over. The exact
+densities of cluster pairs are what the pipeline's reduced graph is built from.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class RegularityParams:
     epsilon: float
     d: float
     gamma: float
-    k: int
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
@@ -39,23 +38,20 @@ class RegularityParams:
             raise ValueError("need epsilon < d")
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
-        if self.k < 1:
-            raise ValueError("k must be positive")
 
 
 @dataclass(frozen=True)
 class PartitionedInstance:
-    """Host graph + per-part clusters, exceptional set, optional reserve pool.
+    """Host graph + k >= 1 clusters per part + optional reserve pool.
 
-    clusters[i][c] lists the c-th cluster of part i (ascending ids);
-    exceptional is exactly the complement of all clusters; reserved, when
-    present, is a subset of the clustered vertices (the pipeline's random
-    half-reserve).
+    clusters[i][c] lists the c-th cluster of part i (ascending ids). `k` and
+    `exceptional`, the ascending complement of the clusters, are derived;
+    reserved, when present, is a subset of the clustered vertices (the
+    pipeline's random half-reserve).
     """
 
     host: PartiteGraph
     clusters: tuple
-    exceptional: tuple[int, ...]
     params: RegularityParams
     reserved: tuple[int, ...] | None = None
 
@@ -66,16 +62,15 @@ class PartitionedInstance:
             for part in self.clusters
         )
         object.__setattr__(self, "clusters", clusters)
-        object.__setattr__(
-            self, "exceptional", tuple(sorted(int(v) for v in self.exceptional))
-        )
         if self.reserved is not None:
             object.__setattr__(
                 self, "reserved", tuple(sorted(int(v) for v in self.reserved))
             )
         if len(clusters) != g.r:
             raise ValueError(f"expected {g.r} parts of clusters")
-        k = self.params.k
+        k = len(clusters[0])
+        if k < 1:
+            raise ValueError("need at least one cluster per part")
         covered = 0
         for i, part in enumerate(clusters):
             if len(part) != k:
@@ -87,9 +82,9 @@ class PartitionedInstance:
                     if (covered >> v) & 1:
                         raise ValueError(f"vertex {v} appears in two clusters")
                     covered |= 1 << v
-        expect_b = tuple(v for v in range(g.vertex_count) if not (covered >> v) & 1)
-        if self.exceptional != expect_b:
-            raise ValueError("exceptional set is not the complement of the clusters")
+        object.__setattr__(self, "k", k)
+        exceptional = tuple(v for v in range(g.vertex_count) if not (covered >> v) & 1)
+        object.__setattr__(self, "exceptional", exceptional)
         if self.reserved is not None:
             for v in self.reserved:
                 if not (covered >> v) & 1:
@@ -136,9 +131,7 @@ def gen_super_regular_instance(
         raise ValueError("b_attach must lie in (0, 1]")
     if epsilon is None:
         epsilon = min(0.2, d / 3)
-    params = RegularityParams(
-        epsilon=epsilon, d=round(d - epsilon, 9), gamma=gamma, k=k
-    )
+    params = RegularityParams(epsilon=epsilon, d=round(d - epsilon, 9), gamma=gamma)
     b_per = b_size // r
     core = k * cluster_size
     n = core + b_per
@@ -161,14 +154,8 @@ def gen_super_regular_instance(
         )
         for i in range(r)
     )
-    exceptional = tuple(
-        v for i in range(r) for v in range(i * n + core, (i + 1) * n)
-    )
     return PartitionedInstance(
-        host=PartiteGraph.from_masks(r, n, pack(adj)),
-        clusters=clusters,
-        exceptional=exceptional,
-        params=params,
+        host=PartiteGraph.from_masks(r, n, pack(adj)), clusters=clusters, params=params
     )
 
 
@@ -252,7 +239,7 @@ def build_reduced_graph(instance: PartitionedInstance) -> ReducedGraphResult:
     at least params.d; `densities` maps (i, ci, j, cj) to that density.
     """
     g = instance.host
-    k = instance.params.k
+    k = instance.k
     d = instance.params.d
     masks = [0] * (g.r * k)
     densities: dict[tuple[int, int, int, int], float] = {}
@@ -281,7 +268,7 @@ def instance_to_json(inst: PartitionedInstance) -> dict:
             "epsilon": inst.params.epsilon,
             "d": inst.params.d,
             "gamma": inst.params.gamma,
-            "k": inst.params.k,
+            "k": inst.k,
         },
         "clusters": [[list(cl) for cl in part] for part in inst.clusters],
         "exceptional": list(inst.exceptional),
@@ -296,18 +283,24 @@ def instance_from_json(payload: dict) -> PartitionedInstance:
             raise FileFormatError(
                 f"unexpected format tag {payload.get('format')!r}"
             )
-        params = RegularityParams(**payload["params"])
+        params = dict(payload["params"])
+        k = params.pop("k")
         host = PartiteGraph(
             int(payload["r"]), int(payload["n"]), [tuple(e) for e in payload["edges"]]
         )
         reserved = payload.get("reserved")
-        return PartitionedInstance(
+        inst = PartitionedInstance(
             host=host,
             clusters=tuple(tuple(tuple(cl) for cl in part) for part in payload["clusters"]),
-            exceptional=tuple(payload["exceptional"]),
-            params=params,
+            params=RegularityParams(**params),
             reserved=tuple(reserved) if reserved is not None else None,
         )
+        # the stored k and exceptional set are for readers; they must match the clusters
+        if k != inst.k:
+            raise ValueError(f"params.k is {k} but each part has {inst.k} clusters")
+        if sorted(int(v) for v in payload["exceptional"]) != list(inst.exceptional):
+            raise ValueError("exceptional set is not the complement of the clusters")
+        return inst
     except FileFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -332,20 +325,12 @@ def residual_instance(
         )
         for part in inst.clusters
     )
-    covered = 0
-    for part in clusters:
-        for cl in part:
-            covered |= mask_of(cl)
-    exceptional = tuple(
-        v for v in range(inst.host.vertex_count) if not (covered >> v) & 1
-    )
     reserved = None
     if inst.reserved is not None:
         reserved = tuple(v for v in inst.reserved if not (remove_mask >> v) & 1)
     return PartitionedInstance(
         host=inst.host,
         clusters=clusters,
-        exceptional=exceptional,
         params=inst.params,
         reserved=reserved,
     )

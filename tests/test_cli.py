@@ -15,6 +15,7 @@ from krfactor import (
     RandomSeed,
     find_factor,
     gen_min_degree_instance,
+    gen_super_regular_instance,
     read_family,
     read_graph_file,
     read_instance,
@@ -274,6 +275,16 @@ class TestJansonReport:
         assert out == ""
         assert err == "error: more than 3 transversal cliques\n"
 
+    def test_negative_max_cliques_exits_2(self, capsys, k222_path):
+        code, out, err = run_cli(
+            ["janson-report", "--graph", k222_path, "--p", "0.5",
+             "--max-cliques", "-1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: max_cliques must be nonnegative\n"
+
     def test_missing_graph_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             ["janson-report", "--graph", str(tmp_path / "nope.json"), "--p", "0.5"],
@@ -531,6 +542,23 @@ class TestGen:
         fam = read_family(manifest)
         assert (fam.r, fam.n) == (3, 2)
         assert len(fam.graphs) == 6
+
+    def test_pipeline_kind_writes_the_instance_pipeline_run_plants(self, capsys, tmp_path):
+        shape = ["--r", "3", "--k", "2", "--cluster-size", "20", "--d", "0.6",
+                 "--b-size", "3"]
+        path = tmp_path / "inst.json"
+        for seed in ("0", "1", "2"):
+            code, _, _ = run_cli(
+                ["gen", "--kind", "pipeline", *shape, "--seed", seed, "--out", str(path)],
+                capsys,
+            )
+            assert code == 0
+            run = ["pipeline-run", "--p", "0.9", "--seed", seed]
+            from_file = run_cli([*run, "--instance", str(path)], capsys)
+            assert from_file == run_cli([*run, *shape], capsys), seed
+            assert read_instance(path) == gen_super_regular_instance(
+                3, 2, 20, 0.6, 3, RandomSeed(int(seed)).substream(999)
+            )
 
     def test_pipeline_kind_needs_shape(self, capsys, tmp_path):
         code, _, err = run_cli(

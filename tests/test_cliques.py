@@ -63,3 +63,10 @@ class TestCliqueFamily:
         fam = enumerate_kr(g)
         assert fam[2] in list(fam)
         assert len(fam) == 8
+
+
+def test_enumerate_rejects_negative_budget():
+    for g in (PartiteGraph.complete(3, 2), PartiteGraph(3, 2)):
+        with pytest.raises(ValueError, match="max_cliques must be nonnegative"):
+            enumerate_kr(g, max_cliques=-1)
+    assert len(enumerate_kr(PartiteGraph(3, 2), max_cliques=0)) == 0

@@ -34,10 +34,10 @@ def _full_part_instance(r, n, *, epsilon=0.1, d=0.5, gamma=0.5, reserved=None):
     """k=1 instance whose single clusters are the full parts of a complete host."""
     g = PartiteGraph.complete(r, n)
     clusters = tuple((tuple(g.part_range(i)),) for i in range(r))
-    params = RegularityParams(epsilon=epsilon, d=d, gamma=gamma, k=1)
+    params = RegularityParams(epsilon=epsilon, d=d, gamma=gamma)
     if reserved is None:
         reserved = tuple(range(g.vertex_count))
-    return PartitionedInstance(g, clusters, (), params, reserved=tuple(reserved))
+    return PartitionedInstance(g, clusters, params, reserved=tuple(reserved))
 
 
 class TestCoverExceptional:
@@ -376,8 +376,8 @@ class TestBalanceTuples:
         edges = [(0, 4), (4, 8), (0, 8), (1, 5), (5, 9), (1, 9), (0, 5), (0, 9)]
         g = PartiteGraph(3, 4, edges)
         clusters = tuple((tuple(g.part_range(i)),) for i in range(3))
-        params = RegularityParams(epsilon=0.1, d=0.2, gamma=0.5, k=1)
-        inst = PartitionedInstance(g, clusters, (), params, reserved=tuple(range(12)))
+        params = RegularityParams(epsilon=0.1, d=0.2, gamma=0.5)
+        inst = PartitionedInstance(g, clusters, params, reserved=tuple(range(12)))
         outcomes = Counter()
         for seed in range(10):
             try:
@@ -484,8 +484,8 @@ class TestRunPipeline:
     def test_round_split_matches_success_rate(self):
         # single-edge host: success iff the one edge survives the round-2 reveal
         g = PartiteGraph.complete(2, 1)
-        params = RegularityParams(epsilon=0.1, d=0.5, gamma=1.0, k=1)
-        inst = PartitionedInstance(g, (((0,),), ((1,),)), (), params, reserved=(0, 1))
+        params = RegularityParams(epsilon=0.1, d=0.5, gamma=1.0)
+        inst = PartitionedInstance(g, (((0,),), ((1,),)), params, reserved=(0, 1))
         p_round = split_rounds(0.4, 3)
         hits = 0
         trials = 3000

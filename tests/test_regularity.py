@@ -42,20 +42,18 @@ def _hand_instance():
     return PartitionedInstance(
         host=host,
         clusters=(((0, 1), (2, 3)), ((4, 5), (6, 7))),
-        exceptional=(),
-        params=RegularityParams(epsilon=0.2, d=0.5, gamma=0.5, k=2),
+        params=RegularityParams(epsilon=0.2, d=0.5, gamma=0.5),
     )
 
 
 class TestRegularityParams:
     def test_validation(self):
-        RegularityParams(0.1, 0.5, 0.2, 2)
+        RegularityParams(0.1, 0.5, 0.2)
         for bad in (
-            dict(epsilon=0.0, d=0.5, gamma=0.2, k=2),
-            dict(epsilon=0.5, d=0.4, gamma=0.2, k=2),  # epsilon >= d
-            dict(epsilon=0.1, d=1.2, gamma=0.2, k=2),
-            dict(epsilon=0.1, d=0.5, gamma=0.0, k=2),
-            dict(epsilon=0.1, d=0.5, gamma=0.2, k=0),
+            dict(epsilon=0.0, d=0.5, gamma=0.2),
+            dict(epsilon=0.5, d=0.4, gamma=0.2),  # epsilon >= d
+            dict(epsilon=0.1, d=1.2, gamma=0.2),
+            dict(epsilon=0.1, d=0.5, gamma=0.0),
         ):
             with pytest.raises(ValueError):
                 RegularityParams(**bad)
@@ -69,21 +67,37 @@ class TestPartitionedInstance:
         assert inst.exceptional_mask() == 0
         assert inst.reserved_mask() == 0
 
+    def test_derived_k_and_exceptional(self):
+        inst = _hand_instance()
+        assert inst.k == 2
+        assert inst.exceptional == ()
+        host = PartiteGraph.complete(2, 3)
+        inst = PartitionedInstance(
+            host, (((2, 0), ()), ((4,), (3,))), RegularityParams(0.1, 0.5, 0.2)
+        )
+        assert inst.k == 2
+        assert inst.clusters[0] == ((0, 2), ())
+        assert inst.exceptional == (1, 5)
+        assert inst.exceptional_mask() == 0b100010
+        names = [f.name for f in dataclasses.fields(PartitionedInstance)]
+        assert names == ["host", "clusters", "params", "reserved"]
+        assert [f.name for f in dataclasses.fields(RegularityParams)] == ["epsilon", "d", "gamma"]
+
     def test_validation(self):
         host = PartiteGraph.complete(2, 2)
-        params = RegularityParams(0.1, 0.5, 0.2, 1)
+        params = RegularityParams(0.1, 0.5, 0.2)
         with pytest.raises(ValueError, match="outside part"):
-            PartitionedInstance(host, (((0, 2),), ((3,),)), (1,), params)
+            PartitionedInstance(host, (((0, 2),), ((3,),)), params)
         with pytest.raises(ValueError, match="two clusters"):
-            PartitionedInstance(host, (((0, 0),), ((2, 3),)), (1,), params)
-        with pytest.raises(ValueError, match="complement"):
-            PartitionedInstance(host, (((0,),), ((2,),)), (1,), params)
+            PartitionedInstance(host, (((0, 0),), ((2, 3),)), params)
         with pytest.raises(ValueError, match="not in any cluster"):
-            PartitionedInstance(
-                host, (((0,),), ((2,),)), (1, 3), params, reserved=(1,)
-            )
-        with pytest.raises(ValueError, match="expected 1"):
-            PartitionedInstance(host, (((0,), (1,)), ((2,), (3,))), (), params)
+            PartitionedInstance(host, (((0,),), ((2,),)), params, reserved=(1,))
+        with pytest.raises(ValueError, match="part 1: expected 2 clusters, got 1"):
+            PartitionedInstance(host, (((0,), (1,)), ((2, 3),)), params)
+        with pytest.raises(ValueError, match="at least one cluster"):
+            PartitionedInstance(host, ((), ()), params)
+        with pytest.raises(ValueError, match="expected 2 parts"):
+            PartitionedInstance(host, (((0,),),), params)
 
 
 class TestGenerator:
@@ -288,6 +302,38 @@ class TestInstanceFiles:
             read_instance(path)
         with pytest.raises(FileFormatError):
             read_instance(tmp_path / "missing.json")
+
+    def test_stored_k_and_exceptional_must_match_clusters(self, tmp_path):
+        inst = gen_super_regular_instance(3, 2, 3, 0.9, 3, 1)
+        path = tmp_path / "inst.json"
+        write_instance(inst, path)
+        good = json.loads(path.read_text())
+        assert good["params"]["k"] == 2
+        assert good["exceptional"] == [6, 13, 20]
+        # the stored exceptional list is compared sorted
+        good["exceptional"] = [20, 6, 13]
+        path.write_text(json.dumps(good))
+        assert read_instance(path) == inst
+        for field, bad, message in (
+            ("k", 1, "params.k is 1 but each part has 2 clusters"),
+            ("k", 3, "params.k is 3 but each part has 2 clusters"),
+            ("exceptional", [6, 13], "complement"),
+            ("exceptional", [6, 13, 20, 0], "complement"),
+            ("exceptional", [6, 13, 19], "complement"),
+        ):
+            payload = json.loads(json.dumps(good))
+            if field == "k":
+                payload["params"]["k"] = bad
+            else:
+                payload["exceptional"] = bad
+            path.write_text(json.dumps(payload))
+            with pytest.raises(FileFormatError, match=message):
+                read_instance(path)
+        payload = json.loads(json.dumps(good))
+        del payload["params"]["k"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FileFormatError, match="payload"):
+            read_instance(path)
 
 
 class TestResidualInstance:
