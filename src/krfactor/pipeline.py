@@ -19,7 +19,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations, islice
 
 from ._num import bit_indices, ffloor, mask_of
 from .cliques import _clique_list, _clique_stream, check_clique
@@ -46,6 +45,64 @@ class CoverResult:
     warnings: tuple[str, ...]
 
 
+def _cheapest_clique(g, gp, v, allowed, cap, levels):
+    """Scan the first `cap` cliques of g through root v inside `allowed`, in order.
+
+    `levels` lists (load, mask) pairs by ascending load; a vertex in no mask
+    weighs inf. Returns the number of cliques scanned, how many of them have
+    a finite key (summed load), and the first of least finite key that is a
+    clique of gp, or None. The cliques are never listed: at the last free
+    part every extension of a prefix is one mask, and popcounts count it.
+    """
+    # the allowed vertices of every part but the root's, in part order, so
+    # a depth-first walk over them meets the cliques lexicographically
+    free = [allowed & m for i, m in enumerate(g.part_masks) if i != g.part_of(v)]
+    finite = 0
+    for _, m in levels:
+        finite |= m
+    seen = survivors = 0
+    best_key, best = math.inf, None
+
+    def walk(d, common, common_p, fin, key, prefix):
+        # common: common g-neighbours of the root and the prefix; common_p:
+        # the same in gp, 0 once the prefix is not a gp-clique with the root;
+        # fin: the finite-load vertices, 0 once the prefix's key is inf
+        nonlocal seen, survivors, best_key, best
+        if d == len(free) - 1:
+            m = common & free[-1]
+            if m.bit_count() >= cap - seen:  # the cap ends inside m: keep its lowest bits
+                rest = m
+                for _ in range(cap - seen):
+                    rest &= rest - 1
+                m ^= rest
+            seen += m.bit_count()
+            m &= fin
+            survivors += m.bit_count()
+            m &= common_p
+            for load, lm in levels:
+                if m & lm:
+                    if key + load < best_key:  # ties keep the earlier clique
+                        low = m & lm & -(m & lm)
+                        best_key, best = key + load, prefix + (low.bit_length() - 1,)
+                    break
+            return seen == cap
+        for x in bit_indices(common & free[d]):
+            load = next((lv for lv, lm in levels if lm >> x & 1), 0)
+            if walk(
+                d + 1,
+                common & g.adj[x],
+                common_p & gp.adj[x] if common_p >> x & 1 else 0,
+                fin if fin >> x & 1 else 0,
+                key + load,
+                prefix + (x,),
+            ):
+                return True
+        return False
+
+    walk(0, g.adj[v], gp.adj[v], finite, 0, ())
+    return seen, survivors, None if best is None else tuple(sorted(best + (v,)))
+
+
 def cover_exceptional(
     g: PartiteGraph,
     roots,
@@ -65,9 +122,11 @@ def cover_exceptional(
     quota sets their vertices lie in, least used first and lexicographically
     on ties, so the roots spread over the clusters; the first of them that is
     a clique of `sparsify(g, p, seed)` is taken, and the returned tiling's
-    host is that sparsified graph. A quota set
-    saturates once its usage exceeds 4*r*mu*|X_s| - 1 (slightly stricter than
-    the exact threshold when it is fractional), which caps final usage at
+    host is that sparsified graph. The pick is computed on bitmasks, without
+    listing the candidates: each prefix's extensions in the last free part
+    form one mask, whose best vertex is the lowest one in the least loaded
+    quota level it meets (see `_cheapest_clique`). A quota set its usage exceeds 4*r*mu*|X_s| - 1 (slightly stricter than the exact
+    threshold when it is fractional), which caps final usage at
     4*r*mu*|X_s| + r - 2.
     """
     if mu <= 0:
@@ -87,6 +146,7 @@ def cover_exceptional(
         if not (allowed >> v) & 1:
             raise ValueError(f"root {v} outside the allowed set")
     quota_of = [len(quotas)] * g.vertex_count  # quota set per vertex; none -> past the end
+    qmasks = []
     thresholds = []
     taken = 0
     pending = mask_of(roots)  # roots not yet covered
@@ -102,6 +162,7 @@ def cover_exceptional(
         taken |= m
         for u in xs:
             quota_of[u] = s
+        qmasks.append(m)
         thresholds.append(4 * g.r * mu * m.bit_count())
     bigN = allowed.bit_count()
     warnings: list[str] = []
@@ -118,28 +179,18 @@ def cover_exceptional(
     chosen = []
     for v in roots:
         pending ^= 1 << v
-        part_allowed = [allowed & m for m in g.part_masks]
-        part_allowed[g.part_of(v)] = 1 << v
-        cand = list(islice(_clique_stream(g, part_allowed), cap))
-        if len(cand) < cap:
-            warnings.append(f"root {v}: only {len(cand)} candidates (cap {cap})")
-        # a candidate's key sums its vertices' quota usage; vertices already
-        # used, later roots and saturated sets weigh inf
-        level = [math.inf if u > thr - 1 else u for u, thr in zip(usage, thresholds)] + [0]
-        load = [level[s] for s in quota_of]
-        for u in bit_indices(used | pending):
-            load[u] = math.inf
-        keys = [sum(map(load.__getitem__, K)) for K in cand]
-        # stable sort of ascending indices: ties stay lexicographic
-        order = sorted((i for i, key in enumerate(keys) if key < math.inf), key=keys.__getitem__)
-        survivors = [cand[i] for i in order]
-        pick = None
-        for K in survivors:
-            if all(gp.has_edge(a, b) for a, b in combinations(K, 2)):
-                pick = K
-                break
+        # vertices by load, ascending; vertices already used, later roots and
+        # saturated quota sets get no level, so they weigh inf
+        by_load = {0: universe & ~taken}
+        for s, m in enumerate(qmasks):
+            if usage[s] <= thresholds[s] - 1:
+                by_load[usage[s]] = by_load.get(usage[s], 0) | m
+        levels = [(load, m & ~(used | pending)) for load, m in sorted(by_load.items())]
+        seen, survivors, pick = _cheapest_clique(g, gp, v, allowed, cap, levels)
+        if seen < cap:
+            warnings.append(f"root {v}: only {seen} candidates (cap {cap})")
         if pick is None:
-            raise CoverError(v, len(survivors))
+            raise CoverError(v, survivors)
         chosen.append(pick)
         used |= mask_of(pick)
         for u in pick:

@@ -283,7 +283,13 @@ def instance_from_json(payload: dict) -> PartitionedInstance:
             raise FileFormatError(
                 f"unexpected format tag {payload.get('format')!r}"
             )
-        params = dict(payload["params"])
+        params = dict(payload.get("params", ()))
+        missing = [
+            f for f in ("r", "n", "params", "clusters", "exceptional", "edges") if f not in payload
+        ]
+        missing += [f"params.{f}" for f in ("epsilon", "d", "gamma", "k") if f not in params]
+        if missing:
+            raise ValueError("missing field " + ", ".join(missing))
         k = params.pop("k")
         host = PartiteGraph(
             int(payload["r"]), int(payload["n"]), [tuple(e) for e in payload["edges"]]

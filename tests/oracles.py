@@ -199,6 +199,24 @@ def brute_exact_covers(n_cols, rows):
     yield from rec(set(range(n_cols)), list(range(len(rows))), [])
 
 
+def ref_sparsify(g, p, seed):
+    """Adjacency masks of `sparsify(g, p, seed)`, one coin per edge.
+
+    Draws the package's coins, one per edge in `g.edges()` order, and keeps
+    an edge when its coin falls below p.
+    """
+    from krfactor.rng import as_seed
+
+    edges = list(g.edges())
+    coins = as_seed(seed).generator().random(len(edges))
+    masks = [0] * g.vertex_count
+    for (u, v), coin in zip(edges, coins):
+        if coin < p:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return tuple(masks)
+
+
 def ref_min_degree_instance(r, n, gamma, edge_keep, seed):
     """Adjacency masks of `gen_min_degree_instance`, by a per-cell walk.
 
@@ -261,13 +279,20 @@ def ref_planted_masks(r, n, k, cluster_size, d, b_attach, seed):
     return tuple(masks)
 
 
-def ref_cover_exceptional(g, roots, mu, quotas, seed, *, p=1.0, allowed=None):
+def ref_cover_exceptional(g, roots, mu, quotas, seed, *, p=1.0, allowed=None, trace=None):
     """`cover_exceptional` as a per-quota-mask loop with an explicit saturated mask.
 
-    The package's earlier implementation, line for line: a suffix mask of
-    later roots, a saturated-vertex mask grown as quota sets fill, and usage
+    An earlier implementation of the package, line for line: it lists each
+    root's candidates, keys and sorts them, with a suffix mask of later
+    roots, a saturated-vertex mask grown as quota sets fill, and usage
     counted by intersecting each pick with every quota mask. Returns the
     same CoverResult and raises the same errors, in the same order.
+
+    A `trace` list gets one set per root naming the shapes its pick met:
+    "r2", "root_last" (the root lies in the last part), "cap_inside" (the
+    cap ends between two candidates that differ only in the last free part)
+    and "two_levels" (the survivors' last-free-part vertices carry at least
+    two finite loads).
     """
     import math
     from itertools import combinations, islice
@@ -336,7 +361,8 @@ def ref_cover_exceptional(g, roots, mu, quotas, seed, *, p=1.0, allowed=None):
     for idx, v in enumerate(roots):
         part_allowed = [allowed & g.part_mask(i) for i in range(g.r)]
         part_allowed[g.part_of(v)] = 1 << v
-        cand = list(islice(_clique_stream(g, part_allowed), cap))
+        more = list(islice(_clique_stream(g, part_allowed), cap + 1))
+        cand = more[:cap]
         if len(cand) < cap:
             warnings.append(f"root {v}: only {len(cand)} candidates (cap {cap})")
         # a candidate's key sums its vertices' quota usage; blocked vertices weigh inf
@@ -348,6 +374,22 @@ def ref_cover_exceptional(g, roots, mu, quotas, seed, *, p=1.0, allowed=None):
         # stable sort of ascending indices: ties stay lexicographic
         order = sorted((i for i, key in enumerate(keys) if key < math.inf), key=keys.__getitem__)
         survivors = [cand[i] for i in order]
+        if trace is not None:
+            last = g.r - 2 if g.part_of(v) == g.r - 1 else g.r - 1  # last free part
+
+            def prefix(K):
+                return K[:last] + K[last + 1 :]
+
+            shapes = set()
+            if g.r == 2:
+                shapes.add("r2")
+            if g.part_of(v) == g.r - 1:
+                shapes.add("root_last")
+            if len(more) > cap and prefix(more[cap - 1]) == prefix(more[cap]):
+                shapes.add("cap_inside")
+            if len({load[K[last]] for K in survivors}) >= 2:
+                shapes.add("two_levels")
+            trace.append(shapes)
         pick = None
         for K in survivors:
             if all(gp.has_edge(a, b) for a, b in combinations(K, 2)):

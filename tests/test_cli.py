@@ -26,6 +26,7 @@ from krfactor import (
     write_factor_certificate,
     write_family,
     write_graph_file,
+    write_instance,
     write_transversal_certificate,
 )
 from krfactor.cli import SWEEP_HEADER, main
@@ -389,6 +390,23 @@ class TestPipelineRun:
             ["pipeline-run", "--instance", str(path), "--p", "1"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("field", ["params.k", "exceptional"])
+    def test_instance_missing_field_exits_2_naming_it(self, field, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        write_instance(gen_super_regular_instance(3, 1, 6, 0.8, 3, 0), path)
+        payload = json.loads(path.read_text())
+        if field == "params.k":
+            del payload["params"]["k"]
+        else:
+            del payload[field]
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(
+            ["pipeline-run", "--instance", str(path), "--p", "1"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert f"missing field {field}" in err
 
 
 # --- verify -------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import krfactor.graphs
 from krfactor import (
     FileFormatError,
     PartiteGraph,
@@ -22,7 +23,7 @@ from krfactor import (
     threshold_p,
     write_graph_file,
 )
-from oracles import brute_min_star, ref_min_degree_instance
+from oracles import brute_min_star, ref_min_degree_instance, ref_sparsify
 
 
 class TestPartiteGraph:
@@ -99,6 +100,17 @@ class TestSparsify:
         sub = sparsify(g, p, seed)
         assert set(sub.edges()) <= set(g.edges())
 
+    def test_matches_reference(self):
+        rng = random.Random(33)
+        for r in range(2, 6):
+            for n in (1, 2, 5, 9):
+                complete = PartiteGraph.complete(r, n)
+                hosts = [complete, sparsify(complete, rng.uniform(0.3, 0.9), rng.randrange(99))]
+                for g in hosts:
+                    for p in (0.1, 0.5, 0.9):
+                        seed = RandomSeed(rng.randrange(10**6))
+                        assert sparsify(g, p, seed).adj == ref_sparsify(g, p, seed)
+
     def test_retention_rate(self):
         # mean kept-edge count of K_{3,3,3} at p = 1/2 is 13.5
         g = PartiteGraph.complete(3, 3)
@@ -166,6 +178,12 @@ class TestGenMinDegreeInstance:
             g = gen_min_degree_instance(3, n, gamma, 0.8, 0)
             floor = math.ceil(round((1 - 1 / 3 + gamma) * n, 9))
             assert min_star_degree(g) >= floor
+
+    def test_broken_floor_raises_internal_error(self, monkeypatch):
+        # the closing degree check stays on under python -O
+        monkeypatch.setattr(krfactor.graphs, "min_star_degree", lambda g: 0)
+        with pytest.raises(RuntimeError, match="internal: .*degree floor"):
+            gen_min_degree_instance(3, 8, 0.2, 0.7, 5)
 
     def test_deterministic(self):
         a = gen_min_degree_instance(3, 8, 0.2, 0.7, 5)

@@ -173,8 +173,8 @@ class TestCoverExceptional:
 
         cases = []
         rng = random.Random(2024)
-        for _ in range(320):
-            r, n = rng.randint(3, 4), rng.randint(6, 14)
+
+        def random_case(r, n):
             total = r * n
             keep = rng.choice((1.0, 0.8, 0.5))
             g = sparsify(PartiteGraph.complete(r, n), keep, rng.randrange(99))
@@ -201,7 +201,13 @@ class TestCoverExceptional:
             elif flaw in (5, 6):
                 allowed = rng.getrandbits(total)
             kwargs = {"p": rng.choice((0.7, 1.0)), "allowed": allowed}
-            cases.append((g, roots, rng.uniform(0.02, 0.3), quotas, rng.randrange(10**6), kwargs))
+            return g, roots, rng.uniform(0.02, 0.3), quotas, rng.randrange(10**6), kwargs
+
+        for _ in range(320):
+            cases.append(random_case(rng.randint(3, 4), rng.randint(6, 14)))
+        # r = 2 and small parts, where roots often lie in the last part
+        for _ in range(120):
+            cases.append(random_case(rng.randint(2, 3), rng.randint(3, 8)))
         # criterion 06's shapes, every fourth run
         shapes = [(3, 10), (3, 13), (3, 16), (4, 10), (4, 11), (4, 12)]
         for i in range(0, 240, 4):
@@ -212,14 +218,21 @@ class TestCoverExceptional:
             g = PartiteGraph.complete(r, n)
             cases.append((g, roots, mu, quotas, RandomSeed(100 + i), {"p": p}))
         kinds = Counter()
+        reached = Counter()
         for g, roots, mu, quotas, seed, kwargs in cases:
-            want = outcome(ref_cover_exceptional, g, roots, mu, quotas, seed, **kwargs)
+            trace = []
+            want = outcome(ref_cover_exceptional, g, roots, mu, quotas, seed, **kwargs, trace=trace)
             assert outcome(cover_exceptional, g, roots, mu, quotas, seed, **kwargs) == want
             kinds[want[0].__name__ if isinstance(want[0], type) else "covered"] += 1
+            reached.update(shape for pick in trace for shape in pick)
         # the comparison reaches covers, cover failures and validation errors
         assert kinds["covered"] >= 100
         assert kinds["CoverError"] >= 10
         assert kinds["ValueError"] >= 30
+        # and the pick's edge cases: r = 2, a root in the last part, a cap
+        # that ends inside a last-part mask, two finite load levels in a pick
+        for shape in ("r2", "root_last", "cap_inside", "two_levels"):
+            assert reached[shape] >= 10, shape
 
 
 class TestBalanceWeights:
