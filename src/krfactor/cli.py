@@ -18,11 +18,11 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from itertools import combinations, product
+from itertools import product
 from pathlib import Path
 
 from .bounds import chernoff_bound, janson_lambda_delta, janson_lower_bound
-from .cliques import enumerate_kr
+from .cliques import _clique_count, enumerate_kr
 from .errors import BudgetExceededError, FileFormatError
 from .graphs import (
     ThresholdParams,
@@ -95,16 +95,20 @@ def _threshold_trial(task) -> bool | None:
         return None
 
 
+def _min_degree_family(r, n, gamma, edge_keep, seed: RandomSeed, offset: int) -> GraphFamily:
+    """The n * C(r,2) degree-floor members; member t draws from substream offset + t."""
+    members = tuple(
+        gen_min_degree_instance(r, n, gamma, edge_keep, seed.substream(offset + t))
+        for t in range(n * math.comb(r, 2))
+    )
+    return GraphFamily(r, n, members)
+
+
 def _transversal_trial(task) -> bool | None:
     r, n, gamma, edge_keep, p, seed, stream = task
     base = RandomSeed(seed, stream)
     try:
-        count = n * math.comb(r, 2)
-        members = tuple(
-            gen_min_degree_instance(r, n, gamma, edge_keep, base.substream(10 + t))
-            for t in range(count)
-        )
-        family = GraphFamily(r, n, members)
+        family = _min_degree_family(r, n, gamma, edge_keep, base, 10)
         aux = build_b_pi(family, sample_bundle(family, base.substream(0)))
         factor = find_factor(sparsify(aux.graph, p, base.substream(1)))
         if factor is None:
@@ -334,15 +338,12 @@ def cmd_janson_report(args) -> int:
     ]
     monte_carlo = None
     if args.mc_trials > 0:
+        # the family is every clique of g, so its survivors are G(p)'s cliques
         base = RandomSeed(args.seed)
-        total = 0
-        for t in range(args.mc_trials):
-            gp = sparsify(g, args.p, base.substream(t))
-            total += sum(
-                1
-                for K in family
-                if all(gp.has_edge(a, b) for a, b in combinations(K, 2))
-            )
+        total = sum(
+            _clique_count(sparsify(g, args.p, base.substream(t)))
+            for t in range(args.mc_trials)
+        )
         monte_carlo = {"trials": args.mc_trials, "mean": total / args.mc_trials}
     payload = {
         "format": "janson-report",
@@ -433,14 +434,8 @@ def cmd_gen(args) -> int:
             + Path(args.out).read_text()
         )
     elif args.kind == "family":
-        count = args.n * math.comb(args.r, 2)
-        members = tuple(
-            gen_min_degree_instance(
-                args.r, args.n, args.gamma, args.edge_keep, seed.substream(t)
-            )
-            for t in range(count)
-        )
-        manifest = write_family(GraphFamily(args.r, args.n, members), args.out)
+        family = _min_degree_family(args.r, args.n, args.gamma, args.edge_keep, seed, 0)
+        manifest = write_family(family, args.out)
         print(manifest)
         return 0
     elif args.kind == "pipeline":

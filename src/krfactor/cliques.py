@@ -36,6 +36,22 @@ def _clique_stream(g: PartiteGraph, allowed):
     return rec(0, (1 << g.vertex_count) - 1)
 
 
+def _clique_count(g: PartiteGraph) -> int:
+    """Number of transversal cliques of g: `_clique_stream`'s tree over the
+    whole parts, with a popcount in place of the last part's loop."""
+    adj = g.adj
+    parts = g.part_masks
+    last = g.r - 1
+
+    def rec(depth: int, common: int) -> int:
+        cand = common & parts[depth]
+        if depth == last:
+            return cand.bit_count()
+        return sum(rec(depth + 1, common & adj[v]) for v in bit_indices(cand))
+
+    return rec(0, (1 << g.vertex_count) - 1)
+
+
 def _clique_list(g: PartiteGraph, allowed, limit: int | None) -> list[tuple[int, ...]]:
     """`_clique_stream` as a list; past `limit` (None: no limit) raises BudgetExceededError."""
     out = list(islice(_clique_stream(g, allowed), None if limit is None else limit + 1))

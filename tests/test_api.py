@@ -89,8 +89,8 @@ def test_public_names_are_pinned():
 
 def test_budget_keywords_are_pinned():
     # search budgets are module constants (solver.DEFAULT_ROW_BUDGET,
-    # solver.SPREAD_FACTOR_BUDGET, bounds.PAIR_CHECK_BUDGET); a caller sets its
-    # own only where a caller outside the tests needs another value
+    # solver.SPREAD_FACTOR_BUDGET); a caller sets its own only where a caller
+    # outside the tests needs another value
     found = set()
     for name in PUBLIC_API:
         obj = getattr(krfactor, name)

@@ -1,12 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import krfactor.bounds
 from krfactor import (
-    BudgetExceededError,
     CliqueFamily,
     PartiteGraph,
     chernoff_bound,
@@ -73,11 +72,22 @@ class TestJansonMoments:
         lam2, delta2 = janson_lambda_delta(two, 0.7)
         assert math.isclose(delta2, lam2, rel_tol=1e-12)
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), st.floats(0.1, 0.9), st.floats(0.3, 1.0))
-    def test_matches_brute_force(self, seed, p, keep):
-        g = sparsify(PartiteGraph.complete(3, 2), keep, seed)
-        fam = enumerate_kr(g)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 4),
+        st.integers(0, 10_000),
+        st.floats(0.3, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.01, 0.99),
+    )
+    def test_matches_brute_force(self, r, n, seed, keep, share, p):
+        # the overlap count must hold for any family, not only all cliques
+        g = sparsify(PartiteGraph.complete(r, n), keep, seed)
+        rng = random.Random(seed)
+        fam = CliqueFamily(g, [K for K in enumerate_kr(g) if rng.random() < share])
+        for q in (0.0, 0.5, 1.0):  # every term and partial sum is exact
+            assert janson_lambda_delta(fam, q) == brute_janson(list(fam), q)
         lam, delta = janson_lambda_delta(fam, p)
         blam, bdelta = brute_janson(list(fam), p)
         assert math.isclose(lam, blam, rel_tol=1e-12, abs_tol=1e-12)
@@ -89,12 +99,6 @@ class TestJansonMoments:
         g = sparsify(PartiteGraph.complete(3, 3), 0.8, seed)
         lam, delta = janson_lambda_delta(enumerate_kr(g), p)
         assert delta >= lam - 1e-12
-
-    def test_pair_budget(self, monkeypatch):
-        fam = enumerate_kr(PartiteGraph.complete(3, 2))
-        monkeypatch.setattr(krfactor.bounds, "PAIR_CHECK_BUDGET", 10)
-        with pytest.raises(BudgetExceededError, match="more than 10 vertex-sharing clique pairs"):
-            janson_lambda_delta(fam, 0.5)
 
     def test_rejects_bad_p(self):
         fam = enumerate_kr(PartiteGraph.complete(3, 2))

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+from itertools import combinations
 
 import pytest
 
@@ -20,7 +21,9 @@ from krfactor import (
     read_graph_file,
     read_instance,
     sample_bundle,
+    sparsify,
     build_b_pi,
+    enumerate_kr,
     lift_factor,
     verify_transversal,
     write_factor_certificate,
@@ -247,6 +250,26 @@ class TestJansonReport:
         assert code == 0
         payload = json.loads(out)
         assert payload["monte_carlo"] == {"trials": 50, "mean": 8.0}
+
+    def test_degree_floor_n20_reports_the_surviving_clique_mean(self, capsys, tmp_path):
+        # about 4.8 M ordered vertex-sharing clique pairs, too many to visit one by one
+        g = gen_min_degree_instance(3, 20, 0.2, 0.9, RandomSeed(1))
+        path = tmp_path / "g20.txt"
+        write_graph_file(g, path)
+        code, out, err = run_cli(
+            ["janson-report", "--graph", str(path), "--p", "0.3", "--mc-trials", "20",
+             "--seed", "4"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        family = enumerate_kr(g)
+        total = 0
+        for t in range(20):
+            gp = sparsify(g, 0.3, RandomSeed(4).substream(t))
+            total += sum(
+                1 for K in family if all(gp.has_edge(a, b) for a, b in combinations(K, 2))
+            )
+        assert json.loads(out)["monte_carlo"] == {"trials": 20, "mean": total / 20}
 
     def test_bad_p_exits_2(self, capsys, k222_path):
         code, _, err = run_cli(

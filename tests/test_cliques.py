@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from krfactor import (
     enumerate_kr,
     sparsify,
 )
+from krfactor.cliques import _clique_count
 from oracles import brute_cliques
 
 
@@ -35,6 +38,20 @@ def test_enumerate_edgeless_is_empty():
 def test_enumerate_matches_brute_force(seed, p, r, n):
     g = sparsify(PartiteGraph.complete(r, n), p, seed)
     assert list(enumerate_kr(g)) == brute_cliques(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.2, 1.0), st.integers(2, 4), st.integers(1, 5))
+def test_count_matches_surviving_family_cliques(seed, keep, r, n):
+    # janson-report's Monte Carlo count: the cliques of g that survive in G(p)
+    g = sparsify(PartiteGraph.complete(r, n), keep, seed)
+    family = enumerate_kr(g)
+    for p in (0.0, 0.3, 0.7, 1.0):
+        gp = sparsify(g, p, seed + 1)
+        survivors = sum(
+            1 for K in family if all(gp.has_edge(a, b) for a, b in combinations(K, 2))
+        )
+        assert _clique_count(gp) == survivors
 
 
 def test_enumerate_budget_guard():
