@@ -40,6 +40,12 @@ def bit_indices(mask: int):
         mask ^= low
 
 
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of nonnegative ints, cast to the narrowest unsigned
+    dtype first: numpy radix-sorts 8- and 16-bit keys."""
+    return np.argsort(keys.astype(np.min_scalar_type(int(keys.max(initial=0)))), kind="stable")
+
+
 def unpack(masks, width: int) -> np.ndarray:
     """Bool matrix whose row i holds bits 0..width-1 of masks[i]."""
     nbytes = (width + 7) // 8
@@ -52,7 +58,7 @@ def unpack(masks, width: int) -> np.ndarray:
 
 def pack(rows: np.ndarray) -> list[int]:
     """Inverse of `unpack`: one int mask per row of a bool matrix."""
-    return [
-        int.from_bytes(row.tobytes(), "little")
-        for row in np.packbits(rows, axis=1, bitorder="little")
-    ]
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    nbytes = packed.shape[1]
+    raw = packed.tobytes()
+    return [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") for i in range(len(packed))]

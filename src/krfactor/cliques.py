@@ -4,16 +4,24 @@ A transversal clique picks one vertex per part, pairwise adjacent. Cliques are
 reported as ascending id tuples, which (parts being contiguous ascending
 ranges) is the same as ascending part order, and enumeration order is
 lexicographic.
+
+`_clique_rows` lists a whole family at once as an int array, by a
+breadth-first join over bool adjacency blocks; `_clique_stream` yields the
+same cliques lazily, one tuple at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import accumulate, combinations
 
-from ._num import bit_indices
+import numpy as np
+
+from ._num import bit_indices, unpack
 from .errors import BudgetExceededError
 from .graphs import PartiteGraph
+
+_JOIN_CELLS = 1 << 18  # candidate cells (partial cliques x next-part vertices) per join block
 
 
 def _clique_stream(g: PartiteGraph, allowed):
@@ -52,12 +60,51 @@ def _clique_count(g: PartiteGraph) -> int:
     return rec(0, (1 << g.vertex_count) - 1)
 
 
+def _clique_rows(g: PartiteGraph, allowed, limit: int | None) -> np.ndarray:
+    """`_clique_stream`'s cliques as the rows of an int array, in the same order.
+
+    Partial cliques on parts 0..d-1 extend to part d through the rows of a
+    bool matrix holding adjacency among the allowed vertices only. Each join
+    takes at most _JOIN_CELLS candidate cells, so the partials are worked
+    through in blocks, depth first, and the rows stay lexicographic. More
+    than `limit` cliques (None: no limit) raise BudgetExceededError before
+    the surplus rows are built.
+    """
+    r, width = g.r, g.vertex_count
+    verts = np.flatnonzero(unpack(allowed, width)) % width  # part by part, ascending
+    bounds = list(accumulate((m.bit_count() for m in allowed), initial=0))
+    adj = unpack([g.adj[v] for v in verts.tolist()], width)[:, verts]
+    out: list[np.ndarray] = []
+    total = 0
+
+    def join(partial: np.ndarray) -> None:
+        nonlocal total
+        depth = partial.shape[1]
+        if depth == r:
+            out.append(partial)
+            return
+        lo, hi = bounds[depth], bounds[depth + 1]
+        step = max(1, _JOIN_CELLS // max(1, hi - lo))
+        for start in range(0, len(partial), step):
+            block = partial[start : start + step]
+            cand = adj[block[:, 0], lo:hi]
+            for j in range(1, depth):
+                cand &= adj[block[:, j], lo:hi]
+            if depth == r - 1:
+                total += int(np.count_nonzero(cand))
+                if limit is not None and total > limit:
+                    raise BudgetExceededError(f"more than {limit} transversal cliques")
+            at, col = np.nonzero(cand)
+            join(np.column_stack((block[at], lo + col)))
+
+    join(np.arange(bounds[0], bounds[1])[:, None])
+    return verts[np.concatenate(out) if out else np.empty((0, r), np.intp)]
+
+
 def _clique_list(g: PartiteGraph, allowed, limit: int | None) -> list[tuple[int, ...]]:
-    """`_clique_stream` as a list; past `limit` (None: no limit) raises BudgetExceededError."""
-    out = list(islice(_clique_stream(g, allowed), None if limit is None else limit + 1))
-    if limit is not None and len(out) > limit:
-        raise BudgetExceededError(f"more than {limit} transversal cliques")
-    return out
+    """`_clique_rows` as tuples of Python ints; past `limit` (None: no limit)
+    raises BudgetExceededError."""
+    return list(map(tuple, _clique_rows(g, allowed, limit).tolist()))
 
 
 def check_clique(g: PartiteGraph, K) -> None:

@@ -155,7 +155,7 @@ def sparsify(g: PartiteGraph, p: float, seed: RandomSeed | int) -> PartiteGraph:
         hi = lo + n
         strip = unpack([m >> hi for m in g.adj[lo:hi]], V - hi)
         cnt = int(np.count_nonzero(strip))
-        strip[strip] = keep[drawn : drawn + cnt]
+        strip.ravel()[np.flatnonzero(strip)] = keep[drawn : drawn + cnt]
         drawn += cnt
         A[lo:hi, hi:] = strip
         A[hi:, lo:hi] = strip.T

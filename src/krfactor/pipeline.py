@@ -20,7 +20,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from ._num import bit_indices, ffloor, mask_of
+import numpy as np
+
+from ._num import bit_indices, ffloor, mask_of, unpack
 from .cliques import _clique_list, _clique_stream, check_clique
 from .errors import BalanceError, BalanceTuplesError, BudgetExceededError, CoverError
 from .graphs import PartiteGraph, min_star_degree, split_rounds, sparsify
@@ -447,21 +449,22 @@ def _reserve_conditions(
                 break
         if not degrees_ok:
             break
-    split_checked = 0
-    split_violations = 0
-    eps = inst.params.epsilon
-    for v in range(g.vertex_count):
-        for i in range(r):
-            if i == g.part_of(v):
-                continue
-            for cm in cmasks[i]:
-                d_full = (g.adj[v] & cm).bit_count()
-                if d_full < eps * cm.bit_count():
-                    continue
-                split_checked += 1
-                d_w = (g.adj[v] & cm & wmask).bit_count()
-                if not 0.25 * d_full <= d_w <= 0.75 * d_full:
-                    split_violations += 1
+    # degrees into every cluster and its W part, one matrix product each;
+    # float32 sums of 0/1 are exact below 2^24
+    label = np.full(g.vertex_count, -1)
+    for i in range(r):
+        for c in range(k):
+            label[list(inst.clusters[i][c])] = i * k + c
+    ind = (label[:, None] == np.arange(r * k)).astype(np.float32)
+    host = unpack(g.adj, g.vertex_count).astype(np.float32)
+    d_full = (host @ ind).astype(np.int64)
+    d_w = (host @ (ind * unpack([wmask], g.vertex_count).T)).astype(np.int64)
+    foreign = np.arange(g.vertex_count)[:, None] // n != np.arange(r * k) // k
+    sizes = ind.sum(axis=0).astype(np.int64)
+    checked = foreign & ~(d_full < inst.params.epsilon * sizes)
+    balanced = (0.25 * d_full <= d_w) & (d_w <= 0.75 * d_full)
+    split_checked = int(np.count_nonzero(checked))
+    split_violations = int(np.count_nonzero(checked & ~balanced))
     diag = {
         "cluster_counts": counts,
         "cluster_counts_ok": counts_ok,

@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from pathlib import Path
 
-from ._num import bit_indices, mask_of
-from .cliques import _clique_list, check_clique
+import numpy as np
+
+from ._num import bit_indices, mask_of, stable_argsort, unpack
+from .cliques import _clique_list, _clique_rows, check_clique
 from .errors import BudgetExceededError
 from .exact_cover import ExactCover
 from .graphs import PartiteGraph, _read_lines
@@ -106,24 +108,27 @@ def _matching_cover(g: PartiteGraph, allowed):
 
 
 def _build_cover(g: PartiteGraph, allowed):
-    """Exact-cover instance over the vertices in `allowed`; None if hopeless."""
-    rows = _clique_list(g, allowed, DEFAULT_ROW_BUDGET)
+    """Exact-cover instance over the vertices in `allowed`, with the cliques
+    as an int array of rows; None if an allowed vertex lies in no clique.
+
+    Columns are the allowed vertices in ascending order. Rows are the
+    cliques ordered by their vertices' degree sum, ties lexicographic: near-
+    uniform instances branch better when scarce rows come first.
+    """
+    rows = _clique_rows(g, allowed, DEFAULT_ROW_BUDGET)
     target = 0
     for m in allowed:
         target |= m
-    covered = 0
-    for K in rows:
-        covered |= mask_of(K)
-    if covered != target:
+    verts = np.flatnonzero(unpack([target], g.vertex_count))
+    col_of = np.full(g.vertex_count, -1, np.intp)
+    col_of[verts] = np.arange(len(verts))
+    cols = col_of[rows]
+    if np.count_nonzero(np.bincount(cols.ravel(), minlength=len(verts))) < len(verts):
         return None
-    col_of = {v: idx for idx, v in enumerate(bit_indices(target))}
-    # near-uniform instances branch better when scarce rows come first
-    deg = [g.degree(v) for v in range(g.vertex_count)]
-    rows.sort(key=lambda K: (sum(deg[v] for v in K), K))
-    dlx = ExactCover(len(col_of))
-    for idx, K in enumerate(rows):
-        dlx.add_row(idx, [col_of[v] for v in K])
-    return dlx, rows
+    deg = np.array([g.adj[v].bit_count() for v in verts.tolist()], np.int64)
+    # the rows are lexicographic, so a stable sort keeps ties in that order
+    order = stable_argsort(deg[cols].sum(axis=1))
+    return ExactCover(len(verts), rows=cols[order]), rows[order]
 
 
 def _first_cover(g: PartiteGraph, allowed):
@@ -138,7 +143,7 @@ def _first_cover(g: PartiteGraph, allowed):
     sol = dlx.first_solution()
     if sol is None:
         return None
-    return tuple(sorted(rows[i] for i in sol))
+    return tuple(sorted(map(tuple, rows[list(sol)].tolist())))
 
 
 def find_factor(g: PartiteGraph):
@@ -267,8 +272,9 @@ def estimate_spread(
         if built is None:
             raise ValueError("graph has no factor")
         dlx, rows = built
+        cliques = list(map(tuple, rows.tolist()))
         sols = islice(dlx.solutions(), SPREAD_FACTOR_BUDGET + 1)
-        factor_sets = [tuple(sorted(rows[i] for i in sol)) for sol in sols]
+        factor_sets = [tuple(sorted(cliques[i] for i in sol)) for sol in sols]
         if len(factor_sets) > SPREAD_FACTOR_BUDGET:
             raise BudgetExceededError(
                 f"more than {SPREAD_FACTOR_BUDGET} factors; use mode='sampled'"

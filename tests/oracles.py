@@ -410,3 +410,65 @@ def ref_cover_exceptional(g, roots, mu, quotas, seed, *, p=1.0, allowed=None, tr
         if u > thresholds[s] + g.r - 2 + 1e-9:
             raise RuntimeError(f"internal: quota set {s} over budget ({u})")
     return CoverResult(Tiling(gp, tuple(sorted(chosen))), tuple(usage), tuple(warnings))
+
+
+def ref_build_cover(g, allowed, limit):
+    """`solver._build_cover` row by row: (engine, clique tuples) or None.
+
+    An earlier implementation of the package, line for line: it lists the
+    cliques lazily, ORs their masks to check coverage, sorts them by the key
+    (degree sum, clique) and hands each row to `ExactCover.add_row`.
+    """
+    from itertools import islice
+
+    from krfactor._num import bit_indices, mask_of
+    from krfactor.cliques import _clique_stream
+    from krfactor.errors import BudgetExceededError
+    from krfactor.exact_cover import ExactCover
+
+    rows = list(islice(_clique_stream(g, allowed), limit + 1))
+    if len(rows) > limit:
+        raise BudgetExceededError(f"more than {limit} transversal cliques")
+    target = 0
+    for m in allowed:
+        target |= m
+    covered = 0
+    for K in rows:
+        covered |= mask_of(K)
+    if covered != target:
+        return None
+    col_of = {v: idx for idx, v in enumerate(bit_indices(target))}
+    deg = [g.degree(v) for v in range(g.vertex_count)]
+    rows.sort(key=lambda K: (sum(deg[v] for v in K), K))
+    dlx = ExactCover(len(col_of))
+    for idx, K in enumerate(rows):
+        dlx.add_row(idx, [col_of[v] for v in K])
+    return dlx, rows
+
+
+def ref_split_tally(inst, wmask):
+    """`_reserve_conditions`' (split_checked, split_violations) by a loop over
+    vertices, foreign parts and clusters, with big-int popcounts.
+
+    A vertex counts against a foreign cluster when its degree into the
+    cluster is at least epsilon times the cluster's size; it violates the
+    split unless 1/4 to 3/4 of that degree lands in W.
+    """
+    g = inst.host
+    cmasks = [[inst.cluster_mask(i, c) for c in range(inst.k)] for i in range(g.r)]
+    split_checked = 0
+    split_violations = 0
+    eps = inst.params.epsilon
+    for v in range(g.vertex_count):
+        for i in range(g.r):
+            if i == g.part_of(v):
+                continue
+            for cm in cmasks[i]:
+                d_full = (g.adj[v] & cm).bit_count()
+                if d_full < eps * cm.bit_count():
+                    continue
+                split_checked += 1
+                d_w = (g.adj[v] & cm & wmask).bit_count()
+                if not 0.25 * d_full <= d_w <= 0.75 * d_full:
+                    split_violations += 1
+    return split_checked, split_violations

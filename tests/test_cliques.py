@@ -1,9 +1,12 @@
+import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import krfactor.cliques
 from krfactor import (
     BudgetExceededError,
     CliqueFamily,
@@ -11,7 +14,8 @@ from krfactor import (
     enumerate_kr,
     sparsify,
 )
-from krfactor.cliques import _clique_count
+from krfactor._num import mask_of
+from krfactor.cliques import _clique_count, _clique_list, _clique_rows
 from oracles import brute_cliques
 
 
@@ -52,6 +56,50 @@ def test_count_matches_surviving_family_cliques(seed, keep, r, n):
             1 for K in family if all(gp.has_edge(a, b) for a, b in combinations(K, 2))
         )
         assert _clique_count(gp) == survivors
+
+
+def _random_allowed(g, rnd):
+    """One mask per part keeping each vertex with probability 3/4; one part
+    in five is left empty."""
+    allowed = [mask_of(v for v in g.part_range(i) if rnd.random() < 0.75) for i in range(g.r)]
+    if rnd.random() < 0.2:
+        allowed[rnd.randrange(g.r)] = 0
+    return allowed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.2, 1.0), st.sampled_from([2, 3, 4]), st.integers(1, 5))
+def test_rows_match_brute_force_on_allowed_subsets(seed, p, r, n):
+    g = sparsify(PartiteGraph.complete(r, n), p, seed)
+    allowed = _random_allowed(g, random.Random(seed))
+    want = [
+        K for K in brute_cliques(g) if all((allowed[i] >> v) & 1 for i, v in enumerate(K))
+    ]
+    # one-cell blocks split every join into many, the default into one
+    for cells in (1, 3, krfactor.cliques._JOIN_CELLS):
+        with mock.patch.object(krfactor.cliques, "_JOIN_CELLS", cells):
+            rows = _clique_rows(g, allowed, None)
+            got = _clique_list(g, allowed, len(want))
+        assert rows.shape == (len(want), r)
+        assert rows.tolist() == [list(K) for K in want]
+        assert got == want
+        assert all(type(v) is int for K in got for v in K)
+
+
+def test_rows_budget_boundary():
+    # exactly `limit` cliques pass; one more raises, whichever join block holds it
+    g = sparsify(PartiteGraph.complete(3, 4), 0.8, 5)
+    rnd = random.Random(5)
+    for _ in range(20):
+        allowed = _random_allowed(g, rnd)
+        count = len(list(krfactor.cliques._clique_stream(g, allowed)))
+        for cells in (1, krfactor.cliques._JOIN_CELLS):
+            with mock.patch.object(krfactor.cliques, "_JOIN_CELLS", cells):
+                assert len(_clique_rows(g, allowed, count)) == count
+                assert len(_clique_list(g, allowed, count)) == count
+                if count:
+                    with pytest.raises(BudgetExceededError, match=f"more than {count - 1} "):
+                        _clique_rows(g, allowed, count - 1)
 
 
 def test_enumerate_budget_guard():

@@ -3,6 +3,7 @@
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from krfactor.exact_cover import ExactCover
@@ -27,6 +28,20 @@ def test_solution_stream_matches_reference(seed):
     assert list(ec.solutions()) == expected  # a finished search leaves no trace
     assert ec.count_solutions() == len(expected)
     assert ec.first_solution() == (expected[0] if expected else None)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_bulk_rows_match_rows_added_one_at_a_time(seed):
+    rng = random.Random(seed)
+    n_cols = rng.randint(1, 10)
+    width = rng.randint(1, min(4, n_cols))
+    rows = [rng.sample(range(n_cols), width) for _ in range(rng.randint(0, 25))]
+    bulk = ExactCover(n_cols, rows=np.array(rows, dtype=int).reshape(len(rows), width))
+    ec = ExactCover(n_cols)
+    for i, cols in enumerate(rows):
+        ec.add_row(i, cols)
+    assert (bulk.col_rows, bulk.row_cols, bulk.row_ids) == (ec.col_rows, ec.row_cols, ec.row_ids)
+    assert list(bulk.solutions()) == list(brute_exact_covers(n_cols, rows))
 
 
 def test_no_columns_has_one_empty_cover():
@@ -58,3 +73,6 @@ def test_rejects_bad_shapes():
         ExactCover(-1)
     with pytest.raises(ValueError):
         ExactCover(3).add_row(0, [])
+    for rows in ([0, 1], [[]], [[0, 3]], [[-1, 2]]):
+        with pytest.raises(ValueError):
+            ExactCover(3, rows=rows)

@@ -27,7 +27,8 @@ from krfactor import (
     verify_factor,
 )
 from krfactor.pipeline import WeightAssignment
-from oracles import brute_weights_exist, ref_cover_exceptional
+from krfactor._num import mask_of
+from oracles import brute_weights_exist, ref_cover_exceptional, ref_split_tally
 
 
 def _full_part_instance(r, n, *, epsilon=0.1, d=0.5, gamma=0.5, reserved=None):
@@ -580,6 +581,27 @@ def test_criterion12_shape_succeeds_on_every_seed():
         assert rep.success, (cli_seed, rep.error)
         assert rep.verified
         assert verify_factor(inst.host, rep.factor) == (True, "")
+
+
+class TestReserveConditions:
+    @pytest.mark.parametrize(
+        "shape", [(3, 2, 45, 0.6, 3), (2, 3, 10, 0.5, 2), (4, 1, 8, 0.8, 0)]
+    )
+    def test_split_tally_matches_reference(self, shape):
+        # reserve draws as run_pipeline makes them, plus the empty and full pools
+        for cli_seed in range(3):
+            inst = gen_super_regular_instance(*shape, RandomSeed(cli_seed).substream(999))
+            eligible = sorted(v for part in inst.clusters for cl in part for v in cl)
+            pools = [0, mask_of(eligible)]
+            for attempt in range(3):
+                gen = RandomSeed(cli_seed).substream(0).substream(attempt).generator()
+                coins = gen.random(len(eligible)) < 0.5
+                pools.append(mask_of(v for keep, v in zip(coins, eligible) if keep))
+            for wmask in pools:
+                _, diag = krfactor.pipeline._reserve_conditions(inst, wmask, 0.25)
+                tally = (diag["split_checked"], diag["split_violations"])
+                assert tally == ref_split_tally(inst, wmask)
+                assert all(type(x) is int for x in tally)
 
 
 class TestBenchShape:

@@ -30,8 +30,9 @@ from krfactor import (
     verify_factor,
     write_factor_certificate,
 )
-from krfactor.solver import _matching_cover
-from oracles import brute_count_factors, brute_factors, brute_has_factor
+from krfactor._num import mask_of
+from krfactor.solver import DEFAULT_ROW_BUDGET, _build_cover, _matching_cover
+from oracles import brute_count_factors, brute_factors, brute_has_factor, ref_build_cover
 
 
 class TestTilingTypes:
@@ -113,6 +114,49 @@ class TestFindFactor:
                     assert verify_factor(g, f.cliques) == (True, "")
                     rescued += 1
         assert rescued >= 1
+
+    def test_built_engine_matches_row_by_row_reference(self):
+        # random allowed subsets of small hosts, then whole near-threshold
+        # hosts where the matching misses
+        rnd = random.Random(3)
+        cases = []
+        for t in range(150):
+            r, n = rnd.choice([2, 3, 4]), rnd.randint(1, 5)
+            g = sparsify(PartiteGraph.complete(r, n), rnd.uniform(0.3, 1.0), t)
+            keep = rnd.choice([0.5, 0.9, 1.0])
+            cases.append(
+                (g, [mask_of(v for v in g.part_range(i) if rnd.random() < keep) for i in range(r)])
+            )
+        p = threshold_p(ThresholdParams(3, 30, 2)).p
+        for t in range(5):
+            base = RandomSeed(5).substream(t)
+            g = sparsify(gen_min_degree_instance(3, 30, 0.2, 0.9, base.substream(0)), p, base.substream(1))
+            cases.append((g, list(g.part_masks)))
+        hopeless = 0
+        for g, allowed in cases:
+            built = _build_cover(g, allowed)
+            ref = ref_build_cover(g, allowed, DEFAULT_ROW_BUDGET)
+            if ref is None:
+                assert built is None
+                hopeless += 1
+                continue
+            (dlx, rows), (ref_dlx, ref_rows) = built, ref
+            assert dlx.col_rows == ref_dlx.col_rows
+            assert dlx.row_cols == ref_dlx.row_cols
+            assert dlx.row_ids == ref_dlx.row_ids
+            assert rows.tolist() == [list(K) for K in ref_rows]
+        assert 0 < hopeless < len(cases)
+
+    def test_budget_stops_a_build_before_its_coverage_check(self, monkeypatch):
+        # vertex 0 lies in no clique, and the other 18 cliques exceed the budget
+        g = PartiteGraph(3, 3, [e for e in PartiteGraph.complete(3, 3).edges() if 0 not in e])
+        monkeypatch.setattr("krfactor.solver.DEFAULT_ROW_BUDGET", 18)
+        assert _build_cover(g, g.part_masks) is None
+        monkeypatch.setattr("krfactor.solver.DEFAULT_ROW_BUDGET", 17)
+        with pytest.raises(BudgetExceededError, match="more than 17 transversal cliques"):
+            _build_cover(g, g.part_masks)
+        with pytest.raises(BudgetExceededError):
+            find_factor(g)
 
     def test_augmenting_path_beyond_recursion_limit(self):
         # part-0 vertex i sees part-1 vertices i and i+1, the last one only
