@@ -58,7 +58,6 @@ from .solver import (
     estimate_spread,
     find_factor,
     read_factor_certificate,
-    sample_factor_uniform,
     solve_restricted,
     verify_factor,
     write_factor_certificate,

@@ -7,7 +7,11 @@ lexicographic.
 
 `_clique_rows` lists a whole family at once as an int array, by a
 breadth-first join over bool adjacency blocks; `_clique_stream` yields the
-same cliques lazily, one tuple at a time.
+same cliques lazily, one tuple at a time, and `_clique_count` only counts
+them. The two bitmask walks stay beside `_clique_rows`, whose fixed numpy
+cost loses on small hosts (2-core machine, Python 3.11): a weight-balancing
+reduced graph streams in 2-37 µs against 25-58 µs as rows, and a janson-report
+Monte Carlo count (n = 30, p = 0.7) takes 274 µs against 475 µs as rows.
 """
 
 from __future__ import annotations

@@ -50,6 +50,7 @@ class ExactCover:
         self.row_cols = rows.tolist()
         self.row_ids = list(range(len(rows)))
 
+    # kept for bench/tracing.py, which wraps it, and tests/oracles.ref_build_cover
     def add_row(self, row_id, col_ids) -> None:
         cols = list(col_ids)
         if not cols:

@@ -1,8 +1,8 @@
-"""Exact clique-factor search: decision, counting, sampling.
+"""Exact clique-factor search: decision, counting, spread.
 
 A factor is a set of vertex-disjoint transversal cliques covering every
-vertex. Decision/counting reduce to exact cover over the vertex set with one
-row per clique; "no factor" answers always come from the exhaustive search.
+vertex. All three reduce to exact cover over the vertex set with one row per
+clique; "no factor" answers always come from the exhaustive search.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from pathlib import Path
 import numpy as np
 
 from ._num import bit_indices, mask_of, stable_argsort, unpack
-from .cliques import _clique_list, _clique_rows, check_clique
+from .cliques import _clique_rows, check_clique
 from .errors import BudgetExceededError
 from .exact_cover import ExactCover
 from .graphs import PartiteGraph, _read_lines
-from .rng import RandomSeed, as_seed, randbelow
 
 DEFAULT_ROW_BUDGET = 5_000_000  # transversal cliques one exact search may enumerate
 SPREAD_FACTOR_BUDGET = 200_000  # factors the exact spread profile may list
@@ -180,115 +179,36 @@ def count_factors(g: PartiteGraph) -> int:
     return dlx.count_solutions()
 
 
-def _factor_sampler(g: PartiteGraph):
-    """draw(seed) -> an exactly uniform random factor of g.
-
-    Counts the factors of every residual vertex set reachable from the full
-    one (always covering its lowest vertex), filled in post-order with an
-    explicit stack, then walks down proportionally to the counts. Raises
-    ValueError when no factor exists.
-    """
-    by_vertex: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(g.vertex_count)]
-    for K in _clique_list(g, g.part_masks, DEFAULT_ROW_BUDGET):
-        m = mask_of(K)
-        for v in K:
-            by_vertex[v].append((m, K))
-    universe = (1 << g.vertex_count) - 1
-    memo = {0: 1}
-    stack = [universe]
-    while stack:
-        free = stack[-1]
-        v = (free & -free).bit_length() - 1
-        subs = [free & ~m for m, _ in by_vertex[v] if m & free == m]
-        todo = [sub for sub in subs if sub not in memo]
-        if todo:
-            stack.extend(todo)
-        else:
-            memo[free] = sum(memo[sub] for sub in subs)
-            stack.pop()
-    if memo[universe] == 0:
-        raise ValueError("graph has no factor to sample")
-
-    def draw(seed: RandomSeed | int) -> Factor:
-        gen = as_seed(seed).generator()
-        out = []
-        free = universe
-        while free:
-            v = (free & -free).bit_length() - 1
-            x = randbelow(gen, memo[free])
-            for m, K in by_vertex[v]:
-                if m & free == m:
-                    c = memo[free & ~m]
-                    if x < c:
-                        out.append(K)
-                        free &= ~m
-                        break
-                    x -= c
-            else:
-                raise RuntimeError("internal: counting walk left the support")
-        return Factor(g, tuple(sorted(out)))
-
-    return draw
-
-
-def sample_factor_uniform(g: PartiteGraph, seed: RandomSeed | int):
-    """An exactly uniform random factor of g.
-
-    Meant for small hosts: the count table holds one entry per reachable
-    residual vertex set, and DEFAULT_ROW_BUDGET on the host's cliques is the
-    only guard. Raises ValueError when no factor exists.
-    """
-    return _factor_sampler(g)(seed)
-
-
 @dataclass(frozen=True)
 class SpreadEstimate:
     """Worst-case q-spread profile of the uniform distribution over factors.
 
-    values[s] = (max over clique s-subsets S of Pr[S ⊆ random factor]) ** (1/s).
+    values[s] = (max over clique s-subsets S of Pr[S ⊆ random factor]) ** (1/s);
+    sample_count is the number of factors listed.
     """
 
-    mode: str
     values: dict[int, float]
     sample_count: int
 
 
-def estimate_spread(
-    g: PartiteGraph,
-    max_subset: int,
-    mode: str = "exact",
-    seed: RandomSeed | int = 0,
-    *,
-    samples: int = 2000,
-) -> SpreadEstimate:
-    """Spread profile of the uniform factor distribution, exact or sampled.
+def estimate_spread(g: PartiteGraph, max_subset: int) -> SpreadEstimate:
+    """Exact spread profile of the uniform factor distribution.
 
-    The exact mode lists every factor, at most SPREAD_FACTOR_BUDGET of them.
+    Lists every factor, at most SPREAD_FACTOR_BUDGET of them.
     """
     if max_subset < 1:
         raise ValueError("max_subset must be at least 1")
-    if mode == "exact":
-        built = _build_cover(g, g.part_masks)
-        if built is None:
-            raise ValueError("graph has no factor")
-        dlx, rows = built
-        cliques = list(map(tuple, rows.tolist()))
-        sols = islice(dlx.solutions(), SPREAD_FACTOR_BUDGET + 1)
-        factor_sets = [tuple(sorted(cliques[i] for i in sol)) for sol in sols]
-        if len(factor_sets) > SPREAD_FACTOR_BUDGET:
-            raise BudgetExceededError(
-                f"more than {SPREAD_FACTOR_BUDGET} factors; use mode='sampled'"
-            )
-        if not factor_sets:
-            raise ValueError("graph has no factor")
-    elif mode == "sampled":
-        if samples < 1:
-            raise ValueError("samples must be positive")
-        base = as_seed(seed)
-        draw = _factor_sampler(g)
-        factor_sets = [draw(base.substream(t)).cliques for t in range(samples)]
-    else:
-        raise ValueError("mode must be 'exact' or 'sampled'")
+    built = _build_cover(g, g.part_masks)
+    if built is None:
+        raise ValueError("graph has no factor")
+    dlx, rows = built
+    cliques = list(map(tuple, rows.tolist()))
+    sols = islice(dlx.solutions(), SPREAD_FACTOR_BUDGET + 1)
+    factor_sets = [tuple(sorted(cliques[i] for i in sol)) for sol in sols]
+    if len(factor_sets) > SPREAD_FACTOR_BUDGET:
+        raise BudgetExceededError(f"more than {SPREAD_FACTOR_BUDGET} factors")
+    if not factor_sets:
+        raise ValueError("graph has no factor")
     total = len(factor_sets)
     values: dict[int, float] = {}
     for s in range(1, min(max_subset, g.n) + 1):
@@ -297,7 +217,7 @@ def estimate_spread(
             for S in combinations(F, s):
                 counter[S] += 1
         values[s] = (max(counter.values()) / total) ** (1.0 / s)
-    return SpreadEstimate(mode, values, total)
+    return SpreadEstimate(values, total)
 
 
 def verify_factor(g: PartiteGraph, cliques) -> tuple[bool, str]:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._num import bit_indices, fceil
-from .cliques import _clique_stream
+from .cliques import _clique_list
 from .errors import BudgetExceededError, FileFormatError
 from .exact_cover import ExactCover
 from .graphs import (
@@ -268,7 +268,7 @@ def transversal_oracle(family: GraphFamily):
             union_masks[v] |= g.adj[v]
     union = PartiteGraph.from_masks(r, n, union_masks)
     rows = []
-    for K in _clique_stream(union, union.part_masks):
+    for K in _clique_list(union, union.part_masks, None):
         pairs = list(combinations(K, 2))
         options = [
             [t for t, g in enumerate(family.graphs) if g.has_edge(u, v)]
@@ -279,9 +279,9 @@ def transversal_oracle(family: GraphFamily):
                 rows.append((K, combo))
     if not rows:
         return None
-    dlx = ExactCover(total + m)
-    for row_id, (K, combo) in enumerate(rows):
-        dlx.add_row(row_id, list(K) + sorted(total + t for t in combo))
+    dlx = ExactCover(
+        total + m, rows=[list(K) + sorted(total + t for t in combo) for K, combo in rows]
+    )
     sol = dlx.first_solution()
     if sol is None:
         return None

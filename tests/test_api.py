@@ -62,7 +62,6 @@ PUBLIC_API = [
     "read_transversal_certificate",
     "run_pipeline",
     "sample_bundle",
-    "sample_factor_uniform",
     "solve_restricted",
     "sparsify",
     "split_rounds",

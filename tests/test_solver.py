@@ -3,6 +3,7 @@ import random
 import sys
 import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from krfactor import (
     gen_min_degree_instance,
     gen_no_factor_witness,
     read_factor_certificate,
-    sample_factor_uniform,
     solve_restricted,
     sparsify,
     threshold_p,
@@ -265,40 +265,9 @@ class TestCountFactors:
             count_factors(PartiteGraph.complete(3, 4))
 
 
-class TestSampleFactorUniform:
-    def test_unique_factor_host(self):
-        g = PartiteGraph.complete(3, 1)
-        assert sample_factor_uniform(g, 0).cliques == ((0, 1, 2),)
-
-    def test_uniform_over_k222(self):
-        g = PartiteGraph.complete(3, 2)
-        base = RandomSeed(23)
-        counts = Counter(
-            sample_factor_uniform(g, base.substream(t)).cliques for t in range(10_000)
-        )
-        assert set(counts) == set(brute_factors(g))
-        band = 3 * math.sqrt(0.25 * 0.75 / 10_000)
-        for c in counts.values():
-            assert abs(c / 10_000 - 0.25) <= band
-
-    def test_no_factor_rejected(self):
-        with pytest.raises(ValueError, match="no factor"):
-            sample_factor_uniform(gen_no_factor_witness(3, 2, 3).graph, 0)
-
-    def test_depth_beyond_recursion_limit(self):
-        # n disjoint triangles (i, n+i, 2n+i): the count table is n levels deep
-        n = sys.getrecursionlimit() + 100
-        g = PartiteGraph(
-            3, n, [e for i in range(n) for e in ((i, n + i), (i, 2 * n + i), (n + i, 2 * n + i))]
-        )
-        f = sample_factor_uniform(g, 0)
-        assert f.cliques == tuple((i, n + i, 2 * n + i) for i in range(n))
-
-
 class TestEstimateSpread:
     def test_exact_reference_values(self):
         est = estimate_spread(PartiteGraph.complete(3, 2), 2)
-        assert est.mode == "exact"
         assert est.sample_count == 4
         assert est.values[1] == 0.25
         assert est.values[2] == 0.5  # (1/4) ** (1/2)
@@ -309,26 +278,31 @@ class TestEstimateSpread:
         est = estimate_spread(PartiteGraph.complete(3, 2), 5)
         assert set(est.values) == {1, 2}
 
-    def test_sampled_mode_agrees_roughly(self):
-        g = PartiteGraph.complete(3, 2)
-        est = estimate_spread(g, 1, mode="sampled", seed=3, samples=800)
-        assert est.mode == "sampled" and est.sample_count == 800
-        assert abs(est.values[1] - 0.25) < 0.08
-        # the same draws as sample_factor_uniform on the same substreams
-        counts = Counter(
-            K
-            for t in range(800)
-            for K in sample_factor_uniform(g, RandomSeed(3).substream(t)).cliques
-        )
-        assert est.values == {1: max(counts.values()) / 800}
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [0.6, 0.7, 0.8])
+    def test_matches_brute_force_on_sparse_hosts(self, n, p):
+        for seed in range(150):
+            g = sparsify(PartiteGraph.complete(3, n), p, seed)
+            factors = brute_factors(g)
+            if not factors:
+                with pytest.raises(ValueError, match="no factor"):
+                    estimate_spread(g, n)
+                continue
+            expected = {}
+            for s in range(1, n + 1):
+                counts = Counter(S for F in factors for S in combinations(F, s))
+                expected[s] = (max(counts.values()) / len(factors)) ** (1.0 / s)
+            est = estimate_spread(g, n)
+            assert est.values == expected
+            assert est.sample_count == len(factors)
 
     def test_error_paths(self, monkeypatch):
         with pytest.raises(ValueError, match="no factor"):
             estimate_spread(gen_no_factor_witness(3, 2, 5).graph, 1)
         with pytest.raises(ValueError):
             estimate_spread(PartiteGraph.complete(3, 2), 0)
-        with pytest.raises(ValueError):
-            estimate_spread(PartiteGraph.complete(3, 2), 1, mode="guess")
+        with pytest.raises(TypeError):
+            estimate_spread(PartiteGraph.complete(3, 2), 1, mode="exact")
         monkeypatch.setattr(krfactor.solver, "SPREAD_FACTOR_BUDGET", 10)
         with pytest.raises(BudgetExceededError, match="more than 10 factors"):
             estimate_spread(PartiteGraph.complete(3, 3), 1)
