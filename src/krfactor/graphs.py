@@ -227,9 +227,7 @@ def gen_min_degree_instance(
     if floor > n:
         raise ValueError(f"gamma={gamma} infeasible: degree floor {floor} exceeds part size {n}")
     base = as_seed(seed)
-    universe = (1 << (r * n)) - 1
-    pm = [((1 << n) - 1) << (i * n) for i in range(r)]
-    masks = [universe ^ pm[v // n] for v in range(r * n)]
+    masks = list(PartiteGraph.complete(r, n).adj)
     for rank, (i, j) in enumerate(combinations(range(r), 2)):
         total = n * n
         remove_target = total - round(edge_keep * total)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._num import bit_indices, ffloor, mask_of, unpack
-from .cliques import _clique_list, _clique_stream, check_clique
+from .cliques import _clique_rows, _clique_stream, check_clique
 from .errors import BalanceError, BalanceTuplesError, BudgetExceededError, CoverError
 from .graphs import PartiteGraph, min_star_degree, split_rounds, sparsify
 from .regularity import PartitionedInstance, build_reduced_graph, residual_instance
@@ -127,9 +127,10 @@ def cover_exceptional(
     host is that sparsified graph. The pick is computed on bitmasks, without
     listing the candidates: each prefix's extensions in the last free part
     form one mask, whose best vertex is the lowest one in the least loaded
-    quota level it meets (see `_cheapest_clique`). A quota set its usage exceeds 4*r*mu*|X_s| - 1 (slightly stricter than the exact
-    threshold when it is fractional), which caps final usage at
-    4*r*mu*|X_s| + r - 2.
+    quota level it meets (see `_cheapest_clique`). A quota set whose usage
+    exceeds 4*r*mu*|X_s| - 1 takes no further cliques (slightly stricter
+    than the exact threshold when it is fractional), which caps final usage
+    at 4*r*mu*|X_s| + r - 2.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -388,24 +389,21 @@ def balance_tuples(
         need = int(omega[K])
         if need == 0:
             continue
-        # enumerated once: each copy draws from those avoiding earlier copies
-        masks = [avail[K[i]] & ~used for i in range(r)]
-        cand = _clique_list(g_round, masks, DEFAULT_ROW_BUDGET)
-        cmasks = [mask_of(cl) for cl in cand]
-        live = range(len(cand))
+        # listed once, lexicographically; a clique meets a pick exactly when they
+        # share a column, and dropping those rows keeps the rest in order
+        cand = _clique_rows(g_round, [avail[K[i]] & ~used for i in range(r)], DEFAULT_ROW_BUDGET)
         picks = []
-        while live and len(picks) < need:
-            i = live[randbelow(gen, len(live))]
-            picks.append(i)
-            live = [j for j in live if not cmasks[j] & cmasks[i]]
+        while len(cand) and len(picks) < need:
+            pick = cand[randbelow(gen, len(cand))]
+            picks.append(tuple(pick.tolist()))
+            cand = cand[(cand != pick).all(axis=1)]
         if len(picks) < need:
             raise BalanceTuplesError(
                 f"the random choice stranded tuple {K} after {len(picks)} of {need} cliques",
                 tuple_key=K,
             )
-        for i in picks:
-            used |= cmasks[i]
-            chosen.append(cand[i])
+        used |= mask_of(v for pick in picks for v in pick)
+        chosen.extend(picks)
     for rv, need in implied.items():
         got = (used & avail[rv]).bit_count()
         if got != need:
@@ -421,34 +419,13 @@ def _reserve_conditions(
     Gates: per-cluster |W ∩ cluster| within (1/2 ± alpha) * n/k, and every
     exceptional vertex keeps cross-part degree into W ∩ part at least
     (1 - 1/r + gamma/4) of that slice. The per-vertex (1/2 ± 1/4) cluster-
-    degree split is tallied as a diagnostic only.
+    degree split is tallied as a diagnostic only. W lies inside the
+    clusters, so W ∩ part is the union of its clusters' W parts, and all
+    three tallies read one table of degrees into every cluster and its W part.
     """
     g = inst.host
     r, n, k = g.r, g.n, inst.k
-    gamma = inst.params.gamma
     nominal = n / k
-    cmasks = [[inst.cluster_mask(i, c) for c in range(k)] for i in range(r)]
-    counts = []
-    counts_ok = True
-    for i in range(r):
-        for cm in cmasks[i]:
-            cnt = (cm & wmask).bit_count()
-            counts.append(cnt)
-            if not (0.5 - alpha) * nominal - 1e-9 <= cnt <= (0.5 + alpha) * nominal + 1e-9:
-                counts_ok = False
-    degrees_ok = True
-    floor_frac = 1 - 1 / r + gamma / 4
-    for v in inst.exceptional:
-        for i in range(r):
-            if i == g.part_of(v):
-                continue
-            slice_mask = g.part_mask(i) & wmask
-            sz = slice_mask.bit_count()
-            if (g.adj[v] & slice_mask).bit_count() + 1e-9 < floor_frac * sz:
-                degrees_ok = False
-                break
-        if not degrees_ok:
-            break
     # degrees into every cluster and its W part, one matrix product each;
     # float32 sums of 0/1 are exact below 2^24
     label = np.full(g.vertex_count, -1)
@@ -456,21 +433,28 @@ def _reserve_conditions(
         for c in range(k):
             label[list(inst.clusters[i][c])] = i * k + c
     ind = (label[:, None] == np.arange(r * k)).astype(np.float32)
+    ind_w = ind * unpack([wmask], g.vertex_count).T
     host = unpack(g.adj, g.vertex_count).astype(np.float32)
     d_full = (host @ ind).astype(np.int64)
-    d_w = (host @ (ind * unpack([wmask], g.vertex_count).T)).astype(np.int64)
+    d_w = (host @ ind_w).astype(np.int64)
+    counts = ind_w.sum(axis=0).astype(np.int64)
+    lo, hi = (0.5 - alpha) * nominal - 1e-9, (0.5 + alpha) * nominal + 1e-9
+    counts_ok = bool(((lo <= counts) & (counts <= hi)).all())
+    exc = np.array(inst.exceptional, dtype=np.intp)
+    into = d_w[exc].reshape(len(exc), r, k).sum(axis=2)  # degree into W ∩ part
+    short = into + 1e-9 < (1 - 1 / r + inst.params.gamma / 4) * counts.reshape(r, k).sum(axis=1)
+    short[np.arange(len(exc)), exc // n] = False  # a vertex's own part is not gated
+    degrees_ok = not short.any()
     foreign = np.arange(g.vertex_count)[:, None] // n != np.arange(r * k) // k
     sizes = ind.sum(axis=0).astype(np.int64)
     checked = foreign & ~(d_full < inst.params.epsilon * sizes)
     balanced = (0.25 * d_full <= d_w) & (d_w <= 0.75 * d_full)
-    split_checked = int(np.count_nonzero(checked))
-    split_violations = int(np.count_nonzero(checked & ~balanced))
     diag = {
-        "cluster_counts": counts,
+        "cluster_counts": counts.tolist(),
         "cluster_counts_ok": counts_ok,
         "exceptional_degrees_ok": degrees_ok,
-        "split_checked": split_checked,
-        "split_violations": split_violations,
+        "split_checked": int(np.count_nonzero(checked)),
+        "split_violations": int(np.count_nonzero(checked & ~balanced)),
     }
     return counts_ok and degrees_ok, diag
 

@@ -446,21 +446,127 @@ def ref_build_cover(g, allowed, limit):
     return dlx, rows
 
 
-def ref_split_tally(inst, wmask):
-    """`_reserve_conditions`' (split_checked, split_violations) by a loop over
-    vertices, foreign parts and clusters, with big-int popcounts.
+def ref_balance_tuples(g_round, instance, omega, target, seed):
+    """`balance_tuples` with one bitmask per candidate and a live-index list.
 
-    A vertex counts against a foreign cluster when its degree into the
-    cluster is at least epsilon times the cluster's size; it violates the
-    split unless 1/4 to 3/4 of that degree lands in W.
+    An earlier implementation of the package, line for line: it lists each
+    tuple's candidates as tuples, keeps a bitmask per candidate, and after
+    every pick rebuilds the list of live indices whose masks miss the pick.
+    Reads `pipeline.DEFAULT_ROW_BUDGET` at call time, so a test that patches
+    the budget patches both. Returns the same Tiling and raises the same
+    errors, in the same order.
+    """
+    from krfactor import pipeline
+    from krfactor._num import mask_of
+    from krfactor.cliques import _clique_list
+    from krfactor.errors import BalanceTuplesError
+    from krfactor.rng import as_seed, randbelow
+    from krfactor.solver import Tiling
+
+    if target < 0:
+        raise ValueError("target must be nonnegative")
+    if instance.reserved is None:
+        raise ValueError("instance has no reserved pool to draw from")
+    k = instance.k
+    r = g_round.r
+    implied = {}
+    for K, w in sorted(omega.items()):
+        w = int(w)
+        if w < 0:
+            raise ValueError(f"omega[{K}] negative")
+        if len(K) != r:
+            raise ValueError(f"omega key {K}: expected {r} clusters")
+        for slot, rv in enumerate(K):
+            if not slot * k <= rv < (slot + 1) * k:
+                raise ValueError(f"omega key {K}: entry {rv} not a part-{slot} cluster")
+            implied[rv] = implied.get(rv, 0) + w
+    rmask = instance.reserved_mask()
+    avail = {}
+    for i in range(r):
+        for c in range(k):
+            rv = i * k + c
+            cl = instance.clusters[i][c]
+            need = implied.get(rv, 0)
+            if len(cl) - need != target:
+                raise BalanceTuplesError(
+                    f"cluster ({i},{c}): {len(cl)} vertices minus {need} picks "
+                    f"leaves {len(cl) - need}, not the target {target}"
+                )
+            pool = mask_of(cl) & rmask
+            if pool.bit_count() < need:
+                raise BalanceTuplesError(
+                    f"cluster ({i},{c}): reserve pool {pool.bit_count()} "
+                    f"smaller than required picks {need}"
+                )
+            avail[rv] = pool
+    gen = as_seed(seed).generator()
+    used = 0
+    chosen = []
+    for K in sorted(omega):
+        need = int(omega[K])
+        if need == 0:
+            continue
+        masks = [avail[K[i]] & ~used for i in range(r)]
+        cand = _clique_list(g_round, masks, pipeline.DEFAULT_ROW_BUDGET)
+        cmasks = [mask_of(cl) for cl in cand]
+        live = range(len(cand))
+        picks = []
+        while live and len(picks) < need:
+            i = live[randbelow(gen, len(live))]
+            picks.append(i)
+            live = [j for j in live if not cmasks[j] & cmasks[i]]
+        if len(picks) < need:
+            raise BalanceTuplesError(
+                f"the random choice stranded tuple {K} after {len(picks)} of {need} cliques",
+                tuple_key=K,
+            )
+        for i in picks:
+            used |= cmasks[i]
+            chosen.append(cand[i])
+    for rv, need in implied.items():
+        got = (used & avail[rv]).bit_count()
+        if got != need:
+            raise RuntimeError(f"internal: cluster {rv} lost {got} vertices, wanted {need}")
+    return Tiling(g_round, tuple(sorted(chosen)))
+
+
+def ref_reserve_conditions(inst, wmask, alpha):
+    """`_reserve_conditions`' (ok, diag) by loops over clusters and vertices,
+    with big-int popcounts.
+
+    Cluster counts are popcounts of each cluster mask inside W. An exceptional
+    vertex passes when, in every foreign part, its degree into W ∩ part is at
+    least (1 - 1/r + gamma/4) of that slice. For the split tally, a vertex
+    counts against a foreign cluster when its degree into the cluster is at
+    least epsilon times the cluster's size; it violates the split unless 1/4
+    to 3/4 of that degree lands in W.
     """
     g = inst.host
-    cmasks = [[inst.cluster_mask(i, c) for c in range(inst.k)] for i in range(g.r)]
+    r, n, k = g.r, g.n, inst.k
+    nominal = n / k
+    cmasks = [[inst.cluster_mask(i, c) for c in range(k)] for i in range(r)]
+    counts = []
+    counts_ok = True
+    for i in range(r):
+        for cm in cmasks[i]:
+            cnt = (cm & wmask).bit_count()
+            counts.append(cnt)
+            if not (0.5 - alpha) * nominal - 1e-9 <= cnt <= (0.5 + alpha) * nominal + 1e-9:
+                counts_ok = False
+    degrees_ok = True
+    floor_frac = 1 - 1 / r + inst.params.gamma / 4
+    for v in inst.exceptional:
+        for i in range(r):
+            if i == g.part_of(v):
+                continue
+            slice_mask = g.part_mask(i) & wmask
+            if (g.adj[v] & slice_mask).bit_count() + 1e-9 < floor_frac * slice_mask.bit_count():
+                degrees_ok = False
     split_checked = 0
     split_violations = 0
     eps = inst.params.epsilon
     for v in range(g.vertex_count):
-        for i in range(g.r):
+        for i in range(r):
             if i == g.part_of(v):
                 continue
             for cm in cmasks[i]:
@@ -471,4 +577,11 @@ def ref_split_tally(inst, wmask):
                 d_w = (g.adj[v] & cm & wmask).bit_count()
                 if not 0.25 * d_full <= d_w <= 0.75 * d_full:
                     split_violations += 1
-    return split_checked, split_violations
+    diag = {
+        "cluster_counts": counts,
+        "cluster_counts_ok": counts_ok,
+        "exceptional_degrees_ok": degrees_ok,
+        "split_checked": split_checked,
+        "split_violations": split_violations,
+    }
+    return counts_ok and degrees_ok, diag

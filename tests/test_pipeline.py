@@ -16,6 +16,7 @@ from krfactor import (
     PartitionedInstance,
     RandomSeed,
     RegularityParams,
+    Tiling,
     balance_tuples,
     balance_weights,
     cover_exceptional,
@@ -28,7 +29,12 @@ from krfactor import (
 )
 from krfactor.pipeline import WeightAssignment
 from krfactor._num import mask_of
-from oracles import brute_weights_exist, ref_cover_exceptional, ref_split_tally
+from oracles import (
+    brute_weights_exist,
+    ref_balance_tuples,
+    ref_cover_exceptional,
+    ref_reserve_conditions,
+)
 
 
 def _full_part_instance(r, n, *, epsilon=0.1, d=0.5, gamma=0.5, reserved=None):
@@ -355,6 +361,24 @@ class TestWeightAssignment:
             WeightAssignment(PartiteGraph(2, 1), (1, 1), {(0, 1): 1}, {})
 
 
+def _round2_outcome(f, args):
+    """f(*args)'s Tiling, or the type, text and tuple key of its round-2 error."""
+    try:
+        return f(*args)
+    except (BalanceTuplesError, BudgetExceededError) as exc:
+        return type(exc), str(exc), getattr(exc, "tuple_key", None)
+
+
+def _stranding_gadget():
+    # only disjoint pair is T1=(0,4,8), T2=(1,5,9); a first pick of the
+    # decoy (0,5,9) blocks both, and the random pass strands the tuple
+    edges = [(0, 4), (4, 8), (0, 8), (1, 5), (5, 9), (1, 9), (0, 5), (0, 9)]
+    g = PartiteGraph(3, 4, edges)
+    clusters = tuple((tuple(g.part_range(i)),) for i in range(3))
+    params = RegularityParams(epsilon=0.1, d=0.2, gamma=0.5)
+    return g, PartitionedInstance(g, clusters, params, reserved=tuple(range(12)))
+
+
 class TestBalanceTuples:
     def test_single_pick(self):
         inst = _full_part_instance(3, 4)
@@ -385,13 +409,7 @@ class TestBalanceTuples:
         assert exc.value.tuple_key == (0, 1, 2)
 
     def test_stranded_choice_raises_with_tuple_key(self):
-        # only disjoint pair is T1=(0,4,8), T2=(1,5,9); a first pick of the
-        # decoy (0,5,9) blocks both, and the random pass strands the tuple
-        edges = [(0, 4), (4, 8), (0, 8), (1, 5), (5, 9), (1, 9), (0, 5), (0, 9)]
-        g = PartiteGraph(3, 4, edges)
-        clusters = tuple((tuple(g.part_range(i)),) for i in range(3))
-        params = RegularityParams(epsilon=0.1, d=0.2, gamma=0.5)
-        inst = PartitionedInstance(g, clusters, params, reserved=tuple(range(12)))
+        g, inst = _stranding_gadget()
         outcomes = Counter()
         for seed in range(10):
             try:
@@ -419,6 +437,50 @@ class TestBalanceTuples:
         monkeypatch.setattr(krfactor.pipeline, "DEFAULT_ROW_BUDGET", 0)
         with pytest.raises(BudgetExceededError, match="more than 0 transversal cliques"):
             balance_tuples(inst.host, inst, {(0, 1, 2): 1}, 3, 0)
+
+    def test_matches_reference_on_planted_round2_calls(self, monkeypatch):
+        # the calls run_pipeline makes at r = 2, 3 and 4, each replayed at its
+        # own choice and at five more seeds
+        calls = {}
+
+        def record(*args):
+            calls.setdefault(args[0].r, []).append(args)
+            return balance_tuples(*args)
+
+        monkeypatch.setattr(krfactor.pipeline, "balance_tuples", record)
+        shapes = [((2, 3, 15, 0.6, 2), 0.7), ((3, 2, 45, 0.6, 3), 0.7), ((4, 2, 20, 0.7, 4), 0.8)]
+        for shape, p in shapes:
+            for cli_seed in range(10):
+                inst = gen_super_regular_instance(*shape, RandomSeed(cli_seed).substream(999))
+                run_pipeline(inst, p, cli_seed)
+        assert sorted(calls) == [2, 3, 4]
+        kinds = Counter()
+        for args in (a for r in sorted(calls) for a in calls[r]):
+            for seed in [args[4], *range(5)]:
+                replay = (*args[:4], seed)
+                got = _round2_outcome(balance_tuples, replay)
+                assert got == _round2_outcome(ref_balance_tuples, replay)
+                kinds[type(got) is Tiling] += 1
+        assert kinds[True] and kinds[False]
+
+    def test_matches_reference_on_the_stranding_gadget(self):
+        g, inst = _stranding_gadget()
+        for seed in range(10):
+            args = (g, inst, {(0, 1, 2): 2}, 2, seed)
+            assert _round2_outcome(balance_tuples, args) == _round2_outcome(ref_balance_tuples, args)
+
+    def test_budget_boundary_matches_reference(self, monkeypatch):
+        inst = _full_part_instance(3, 4)
+        args = (inst.host, inst, {(0, 1, 2): 2}, 2, 0)
+        count = 4 * 4 * 4  # every transversal of K_{4,4,4}
+        monkeypatch.setattr(krfactor.pipeline, "DEFAULT_ROW_BUDGET", count)
+        fits = _round2_outcome(balance_tuples, args)
+        assert type(fits) is Tiling
+        assert fits == _round2_outcome(ref_balance_tuples, args)
+        monkeypatch.setattr(krfactor.pipeline, "DEFAULT_ROW_BUDGET", count - 1)
+        over = _round2_outcome(balance_tuples, args)
+        assert over == (BudgetExceededError, f"more than {count - 1} transversal cliques", None)
+        assert over == _round2_outcome(ref_balance_tuples, args)
 
 
 class TestRunPipeline:
@@ -585,12 +647,24 @@ def test_criterion12_shape_succeeds_on_every_seed():
 
 class TestReserveConditions:
     @pytest.mark.parametrize(
-        "shape", [(3, 2, 45, 0.6, 3), (2, 3, 10, 0.5, 2), (4, 1, 8, 0.8, 0)]
+        # (r, k, cluster_size, d, b_size, b_attach); at b_attach 0.8 some
+        # pools pass the cluster counts and fail on exceptional degrees alone
+        "shape",
+        [
+            (3, 2, 45, 0.6, 3, 0.9),
+            (2, 3, 10, 0.5, 2, 0.9),
+            (4, 1, 8, 0.8, 0, 0.9),
+            (3, 2, 45, 0.6, 3, 0.8),
+        ],
     )
     def test_split_tally_matches_reference(self, shape):
         # reserve draws as run_pipeline makes them, plus the empty and full pools
+        *planted, b_attach = shape
+        verdicts = set()
         for cli_seed in range(3):
-            inst = gen_super_regular_instance(*shape, RandomSeed(cli_seed).substream(999))
+            inst = gen_super_regular_instance(
+                *planted, RandomSeed(cli_seed).substream(999), b_attach=b_attach
+            )
             eligible = sorted(v for part in inst.clusters for cl in part for v in cl)
             pools = [0, mask_of(eligible)]
             for attempt in range(3):
@@ -598,10 +672,22 @@ class TestReserveConditions:
                 coins = gen.random(len(eligible)) < 0.5
                 pools.append(mask_of(v for keep, v in zip(coins, eligible) if keep))
             for wmask in pools:
-                _, diag = krfactor.pipeline._reserve_conditions(inst, wmask, 0.25)
-                tally = (diag["split_checked"], diag["split_violations"])
-                assert tally == ref_split_tally(inst, wmask)
-                assert all(type(x) is int for x in tally)
+                got = krfactor.pipeline._reserve_conditions(inst, wmask, 0.25)
+                assert got == ref_reserve_conditions(inst, wmask, 0.25)
+                ok, diag = got
+                assert type(ok) is bool
+                assert all(type(x) is int for x in diag["cluster_counts"])
+                assert {key: type(x) for key, x in diag.items()} == {
+                    "cluster_counts": list,
+                    "cluster_counts_ok": bool,
+                    "exceptional_degrees_ok": bool,
+                    "split_checked": int,
+                    "split_violations": int,
+                }
+                verdicts.add((diag["cluster_counts_ok"], diag["exceptional_degrees_ok"]))
+        assert (True, True) in verdicts
+        if b_attach < 0.9:
+            assert (True, False) in verdicts
 
 
 class TestBenchShape:
