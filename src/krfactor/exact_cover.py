@@ -14,6 +14,10 @@ Ordering contract (every caller relies on it for reproducible output): each
 step branches on the open column with the fewest live rows, taking the
 leftmost on ties; a branch stops at once when that column has no live rows;
 the column's live rows are tried in insertion order.
+
+A search node is one row tried. `nodes` holds the rows the latest search
+had tried when it last yielded, finished or stopped; a search given
+`max_nodes` raises BudgetExceededError instead of trying one more row.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._num import stable_argsort
+from .errors import BudgetExceededError
 
 
 class ExactCover:
@@ -34,6 +39,7 @@ class ExactCover:
         self.col_rows: list[list[int]] = [[] for _ in range(n_cols)]
         self.row_cols: list[list[int]] = []
         self.row_ids: list = []
+        self.nodes = 0
         if rows is None:
             return
         rows = np.asarray(rows, np.intp)
@@ -61,9 +67,12 @@ class ExactCover:
         self.row_cols.append(cols)
         self.row_ids.append(row_id)
 
-    def solutions(self):
-        """Yield every exact cover as a tuple of row ids, in the order above."""
+    def solutions(self, max_nodes: int | None = None):
+        """Yield every exact cover as a tuple of row ids, in the order above;
+        past `max_nodes` rows tried (None: no limit) raise BudgetExceededError."""
         col_rows, row_cols = self.col_rows, self.row_cols
+        limit = float("inf") if max_nodes is None else max_nodes
+        nodes = self.nodes = 0
         covered = len(row_cols) + 1
         # A covered column carries `covered` on top of its live-row count, so
         # min() finds the smallest open column; the extra entry keeps it defined.
@@ -73,6 +82,7 @@ class ExactCover:
         while True:
             low = min(size)
             if low >= covered:
+                self.nodes = nodes
                 yield tuple(self.row_ids[cands[k - 1]] for cands, k, _ in stack)
             elif low:
                 best = size.index(low)
@@ -90,6 +100,10 @@ class ExactCover:
                 if k == len(cands):
                     stack.pop()
                     continue
+                if nodes == limit:
+                    self.nodes = nodes
+                    raise BudgetExceededError(f"more than {max_nodes} search nodes")
+                nodes += 1
                 removed = []
                 for c in row_cols[cands[k]]:
                     size[c] += covered
@@ -102,10 +116,11 @@ class ExactCover:
                 frame[1], frame[2] = k + 1, removed
                 break
             else:
+                self.nodes = nodes
                 return
 
-    def first_solution(self):
-        for sol in self.solutions():
+    def first_solution(self, max_nodes: int | None = None):
+        for sol in self.solutions(max_nodes):
             return sol
         return None
 

@@ -15,13 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from ._num import bit_indices, mask_of, stable_argsort, unpack
-from .cliques import _clique_rows, check_clique
+from .cliques import _JOIN_CELLS, _clique_rows, check_clique
 from .errors import BudgetExceededError
 from .exact_cover import ExactCover
 from .graphs import PartiteGraph, _read_lines
 
 DEFAULT_ROW_BUDGET = 5_000_000  # transversal cliques one exact search may enumerate
 SPREAD_FACTOR_BUDGET = 200_000  # factors the exact spread profile may list
+DEFAULT_NODE_BUDGET = 3_000_000  # rows one first-cover search may try
 
 
 @dataclass(frozen=True)
@@ -59,26 +60,58 @@ class Factor(Tiling):
 
 
 def _matching_cover(g: PartiteGraph, allowed):
-    """Cover the union of `allowed` part by part; None proves nothing.
+    """Cover the union of `allowed` (allowed[i] inside part i) part by part;
+    None proves nothing.
 
     Stage s matches each partial clique on parts 0..s-1 to a part-s vertex
-    of its common neighbourhood, trying first the vertices that keep the
-    most of part s+1 in it: a greedy pass, then Kuhn's augmenting paths.
+    of its common neighbourhood: a greedy pass, then Kuhn's augmenting paths.
+    A partial tries first the candidates with the most common part-(s+1)
+    neighbours, ties by ascending vertex id, and drops those with none; at
+    the last stage it tries them by ascending id. Neighbourhoods among the
+    allowed vertices are rows of uint64 words, so a stage scores all its
+    (partial, candidate) pairs at once by popcounts of ANDed rows; the
+    scores are exact integers at any size.
     """
     if len({m.bit_count() for m in allowed}) > 1:
         return None
-    adj = g.adj
-    partial = [((v,), adj[v]) for v in bit_indices(allowed[0])]
-    for s in range(1, g.r):
-        cands = []
-        for _, common in partial:
-            us = bit_indices(common & allowed[s])
-            if s + 1 < g.r:
-                scored = sorted((-(common & adj[u] & allowed[s + 1]).bit_count(), u) for u in us)
-                us = [u for key, u in scored if key]
-            cands.append(list(us))
+    r, size, width = g.r, allowed[0].bit_count(), g.vertex_count
+    if not size:
+        return []
+    verts = np.nonzero(unpack(allowed, width))[1].reshape(r, size)
+    # bits[t - 1, s * size + i]: the allowed part-t vertices that allowed
+    # part-s vertex i sees (s < t), as uint64 words. Masks shifted past part
+    # 0 span `cols` bits; they are unpacked _JOIN_CELLS cells at a time with
+    # one column more, which is always 0 and pads each part to whole words.
+    src, cols = verts[:-1].ravel().tolist(), width - g.n
+    dst = np.full((r - 1, -(-size // 64) * 64), cols)
+    dst[:, :size] = verts[1:] - g.n
+    step = max(1, _JOIN_CELLS // cols)
+    packed = [
+        np.packbits(
+            unpack([g.adj[v] >> g.n for v in src[a : a + step]], cols + 1)[:, dst],
+            axis=-1,
+            bitorder="little",
+        )
+        for a in range(0, len(src), step)
+    ]
+    bits = np.concatenate(packed).transpose(1, 0, 2).copy().view(np.uint64)
+    common = bits[:, :size]  # common[t - s, i]: the part-t vertices partial i sees
+    ids = np.arange(size)
+    picks = [ids]
+    for s in range(1, r):
+        live = np.unpackbits(common[0].view(np.uint8), axis=-1, count=size, bitorder="little")
+        at, cand = np.nonzero(live.view(bool))  # partial, candidate; candidates ascending
+        if s + 1 < r:
+            nxt = bits[s, s * size : (s + 1) * size]  # part s against part s + 1
+            score = np.bitwise_count(common[1][at] & nxt[cand]).sum(axis=1, dtype=np.intp)
+            at, cand, score = at[score > 0], cand[score > 0], score[score > 0]
+            # a stable sort by partial, then by falling score, keeps ties ascending
+            cand = cand[np.argsort(at * (size + 1) - score, kind="stable")]
+        flat = cand.tolist()
+        ends = np.searchsorted(at, ids + 1).tolist()
+        cands = [flat[a:b] for a, b in zip([0] + ends, ends)]
         owner: dict[int, int] = {}
-        match = [None] * len(partial)
+        match = [None] * size
         for i, us in enumerate(cands):
             match[i] = next((u for u in us if u not in owner), None)
             if match[i] is not None:
@@ -102,8 +135,10 @@ def _matching_cover(g: PartiteGraph, allowed):
             for i, k in stack:
                 match[i] = cands[i][k - 1]
                 owner[match[i]] = i
-        partial = [(K + (u,), common & adj[u]) for (K, common), u in zip(partial, match)]
-    return [K for K, _ in partial]
+        picks.append(np.array(match, np.intp))
+        if s + 1 < r:
+            common = common[1:] & bits[s:, s * size + picks[-1]]
+    return list(map(tuple, np.column_stack([verts[s][p] for s, p in enumerate(picks)]).tolist()))
 
 
 def _build_cover(g: PartiteGraph, allowed):
@@ -131,7 +166,10 @@ def _build_cover(g: PartiteGraph, allowed):
 
 
 def _first_cover(g: PartiteGraph, allowed):
-    """Matching cover, else the first exact cover; sorted cliques or None."""
+    """Matching cover, else the first exact cover; sorted cliques or None.
+
+    An exact search that tries more than DEFAULT_NODE_BUDGET rows raises
+    BudgetExceededError, so every None is still a complete search."""
     matched = _matching_cover(g, allowed)
     if matched is not None:
         return tuple(sorted(matched))
@@ -139,7 +177,7 @@ def _first_cover(g: PartiteGraph, allowed):
     if built is None:
         return None
     dlx, rows = built
-    sol = dlx.first_solution()
+    sol = dlx.first_solution(DEFAULT_NODE_BUDGET)
     if sol is None:
         return None
     return tuple(sorted(map(tuple, rows[list(sol)].tolist())))

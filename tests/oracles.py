@@ -446,6 +446,56 @@ def ref_build_cover(g, allowed, limit):
     return dlx, rows
 
 
+def ref_matching_cover(g, allowed):
+    """`solver._matching_cover` by big-int popcounts: cliques or None.
+
+    An earlier implementation of the package, line for line: each partial
+    clique keeps its common neighbourhood as an int mask, scores every
+    candidate with one popcount and sorts the (-score, vertex) pairs.
+    """
+    from krfactor._num import bit_indices
+
+    if len({m.bit_count() for m in allowed}) > 1:
+        return None
+    adj = g.adj
+    partial = [((v,), adj[v]) for v in bit_indices(allowed[0])]
+    for s in range(1, g.r):
+        cands = []
+        for _, common in partial:
+            us = bit_indices(common & allowed[s])
+            if s + 1 < g.r:
+                scored = sorted((-(common & adj[u] & allowed[s + 1]).bit_count(), u) for u in us)
+                us = [u for key, u in scored if key]
+            cands.append(list(us))
+        owner: dict[int, int] = {}
+        match = [None] * len(partial)
+        for i, us in enumerate(cands):
+            match[i] = next((u for u in us if u not in owner), None)
+            if match[i] is not None:
+                owner[match[i]] = i
+        for root in [i for i, u in enumerate(match) if u is None]:
+            seen, stack = set(), [[root, 0]]
+            while stack:
+                i, k = stack[-1]
+                k = next((j for j in range(k, len(cands[i])) if cands[i][j] not in seen), None)
+                if k is None:
+                    stack.pop()
+                    continue
+                stack[-1][1] = k + 1
+                seen.add(cands[i][k])
+                if cands[i][k] not in owner:
+                    break
+                stack.append([owner[cands[i][k]], 0])
+            if not stack:
+                return None
+            # each frame's last tried candidate leads to the frame above it
+            for i, k in stack:
+                match[i] = cands[i][k - 1]
+                owner[match[i]] = i
+        partial = [(K + (u,), common & adj[u]) for (K, common), u in zip(partial, match)]
+    return [K for K, _ in partial]
+
+
 def ref_balance_tuples(g_round, instance, omega, target, seed):
     """`balance_tuples` with one bitmask per candidate and a live-index list.
 

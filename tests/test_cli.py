@@ -160,6 +160,17 @@ class TestThresholdSweep:
             assert row["trials"] == 0 and row["successes"] == 0
             assert row["success_rate"] == 0.0
 
+    def test_search_node_budget_skips_trials(self, capsys, monkeypatch):
+        # near the threshold the matching misses, so the exact search runs
+        monkeypatch.setattr("krfactor.solver.DEFAULT_NODE_BUDGET", 0)
+        argv = ["threshold-sweep", "--n", "30", "--trials", "4", "--c-grid", "2",
+                "--seed", "5", "--workers", "1", "--format", "json"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["skipped"] > 0 and row["trials"] == 4 - row["skipped"]
+        assert f"{row['skipped']} trials skipped" in err
+
     def test_conflicting_grids_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["threshold-sweep", "--c-grid", "1", "--p-grid", "0.5"])
@@ -345,6 +356,17 @@ class TestPipelineRun:
         payload = json.loads(report_path.read_text())
         assert payload["success"] is True
         assert payload["failure_stage"] is None
+
+    def test_search_node_budget_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("krfactor.solver.DEFAULT_NODE_BUDGET", 0)
+        code, out, err = run_cli(
+            ["pipeline-run", "--r", "3", "--k", "2", "--cluster-size", "45", "--d", "0.6",
+             "--b-size", "3", "--p", "0.9", "--seed", "1"],
+            capsys,
+        )
+        assert code == 1
+        assert err == "pipeline failed at stage round3: more than 0 search nodes\n"
+        assert json.loads(out)["stages"]["round3"] == {"error": "more than 0 search nodes"}
 
     def test_failure_exits_1_but_writes_report(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"

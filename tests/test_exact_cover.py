@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from krfactor.errors import BudgetExceededError
 from krfactor.exact_cover import ExactCover
 from oracles import brute_exact_covers
 
@@ -42,6 +43,25 @@ def test_bulk_rows_match_rows_added_one_at_a_time(seed):
         ec.add_row(i, cols)
     assert (bulk.col_rows, bulk.row_cols, bulk.row_ids) == (ec.col_rows, ec.row_cols, ec.row_ids)
     assert list(bulk.solutions()) == list(brute_exact_covers(n_cols, rows))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_node_budget_stops_at_the_count(seed):
+    n_cols, rows = _random_instance(random.Random(seed))
+    ec = ExactCover(n_cols)
+    for i, cols in enumerate(rows):
+        ec.add_row(i, cols)
+    first = ec.first_solution()
+    nodes = ec.nodes
+    assert ec.first_solution(max_nodes=nodes) == first and ec.nodes == nodes
+    every = list(ec.solutions())
+    total = ec.nodes
+    assert total >= nodes
+    assert list(ec.solutions(max_nodes=total)) == every
+    if nodes:
+        with pytest.raises(BudgetExceededError, match=f"more than {nodes - 1} search nodes"):
+            ec.first_solution(max_nodes=nodes - 1)
+        assert ec.nodes == nodes - 1
 
 
 def test_no_columns_has_one_empty_cover():

@@ -23,7 +23,9 @@ from krfactor import (
     find_factor,
     gen_min_degree_instance,
     gen_no_factor_witness,
+    gen_super_regular_instance,
     read_factor_certificate,
+    run_pipeline,
     solve_restricted,
     sparsify,
     threshold_p,
@@ -32,7 +34,13 @@ from krfactor import (
 )
 from krfactor._num import mask_of
 from krfactor.solver import DEFAULT_ROW_BUDGET, _build_cover, _matching_cover
-from oracles import brute_count_factors, brute_factors, brute_has_factor, ref_build_cover
+from oracles import (
+    brute_count_factors,
+    brute_factors,
+    brute_has_factor,
+    ref_build_cover,
+    ref_matching_cover,
+)
 
 
 class TestTilingTypes:
@@ -168,6 +176,111 @@ class TestFindFactor:
         assert _matching_cover(g, [g.part_mask(0), g.part_mask(1)]) is not None
         f = find_factor(g)
         assert f.cliques == tuple((i, n + i + 1) for i in range(n - 1)) + ((n - 1, n),)
+
+
+class TestMatchingCover:
+    """`_matching_cover` returns what `oracles.ref_matching_cover` returns, None included."""
+
+    def test_random_restricted_masks(self):
+        rnd = random.Random(38)
+        answers = Counter()
+        for t in range(1000):
+            r, n = rnd.randint(2, 5), rnd.randint(1, 12)
+            g = sparsify(PartiteGraph.complete(r, n), rnd.uniform(0.3, 1.0), t)
+            shape = rnd.choice(("equal", "coin", "empty part"))
+            if shape == "equal":
+                k = rnd.randint(1, n)
+                allowed = [mask_of(rnd.sample(g.part_range(i), k)) for i in range(r)]
+            else:
+                keep = rnd.uniform(0.3, 1.0)
+                allowed = [mask_of(v for v in g.part_range(i) if rnd.random() < keep) for i in range(r)]
+                if shape == "empty part":
+                    allowed[rnd.randrange(r)] = 0
+            got = _matching_cover(g, allowed)
+            assert got == ref_matching_cover(g, allowed), (t, allowed)
+            sizes = {m.bit_count() for m in allowed}
+            answers[len(sizes) > 1, sizes == {0}, got is None] += 1
+        # unequal sizes, all-empty masks, and equal sizes both found and missed
+        assert {(True, False, True), (False, True, False)} <= set(answers)
+        assert answers[False, False, False] > 50 and answers[False, False, True] > 50
+
+    def test_threshold_sweep_calls(self):
+        # every call that 40 rounds of threshold-sweep trials make at n = 30
+        for point, c in enumerate((0.3, 0.65, 1.4, 3, 6.5, 14, 30)):
+            p = threshold_p(ThresholdParams(3, 30, c)).p
+            for t in range(40 * (3 if p == 1.0 else 2)):
+                base = RandomSeed(0).substream(point).substream(t)
+                g = gen_min_degree_instance(3, 30, 0.2, 0.9, base.substream(0))
+                gp = sparsify(g, p, base.substream(1))
+                assert _matching_cover(gp, gp.part_masks) == ref_matching_cover(gp, gp.part_masks)
+
+    def test_pipeline_calls(self, monkeypatch):
+        calls = []
+
+        def recorded(g, allowed):
+            out = _matching_cover(g, allowed)
+            calls.append((g, list(allowed), out))
+            return out
+
+        monkeypatch.setattr(krfactor.solver, "_matching_cover", recorded)
+        for p in (0.9, 0.7):
+            for seed in range(20):
+                inst = gen_super_regular_instance(3, 2, 45, 0.6, 3, RandomSeed(seed).substream(999))
+                run_pipeline(inst, p, seed)
+        assert len(calls) > 80
+        assert any(out is None for _, _, out in calls)
+        for g, allowed, out in calls:
+            assert out == ref_matching_cover(g, allowed)
+
+    def test_thousand_vertex_probe_hosts(self):
+        p = threshold_p(ThresholdParams(3, 1000, 4)).p
+        for seed in (1, 2, 3):
+            g = sparsify(PartiteGraph.complete(3, 1000), p, RandomSeed(seed))
+            got = _matching_cover(g, g.part_masks)
+            assert got is not None and got == ref_matching_cover(g, g.part_masks)
+
+
+class TestNodeBudget:
+    @staticmethod
+    def _miss():
+        # a near-threshold host whose matching misses and whose search finds a factor
+        p = threshold_p(ThresholdParams(3, 30, 2)).p
+        base = RandomSeed(5).substream(1)
+        g = sparsify(gen_min_degree_instance(3, 30, 0.2, 0.9, base.substream(0)), p, base.substream(1))
+        assert _matching_cover(g, g.part_masks) is None
+        dlx, _ = _build_cover(g, g.part_masks)
+        assert dlx.first_solution() is not None
+        return g, dlx.nodes
+
+    def test_search_past_the_budget_raises(self, monkeypatch):
+        g, nodes = self._miss()
+        assert nodes > 1
+        factor = find_factor(g)
+        monkeypatch.setattr("krfactor.solver.DEFAULT_NODE_BUDGET", nodes)
+        assert find_factor(g) == factor
+        monkeypatch.setattr("krfactor.solver.DEFAULT_NODE_BUDGET", nodes - 1)
+        with pytest.raises(BudgetExceededError, match=f"more than {nodes - 1} search nodes"):
+            find_factor(g)
+        with pytest.raises(BudgetExceededError):
+            solve_restricted(g, g.part_masks)
+
+    def test_no_answer_needs_a_complete_search(self, monkeypatch):
+        # every vertex lies in a clique, yet the search proves there is no factor
+        p = threshold_p(ThresholdParams(3, 30, 1.4)).p
+        base = RandomSeed(5).substream(4)
+        g = sparsify(gen_min_degree_instance(3, 30, 0.2, 0.9, base.substream(0)), p, base.substream(1))
+        dlx, _ = _build_cover(g, g.part_masks)
+        assert dlx.first_solution() is None and dlx.nodes > 0
+        monkeypatch.setattr("krfactor.solver.DEFAULT_NODE_BUDGET", dlx.nodes)
+        assert find_factor(g) is None
+        monkeypatch.setattr("krfactor.solver.DEFAULT_NODE_BUDGET", dlx.nodes - 1)
+        with pytest.raises(BudgetExceededError):
+            find_factor(g)
+
+    def test_default_leaves_room(self):
+        # the heaviest search measured at the bench shape: run_pipeline at
+        # p = 0.7, seed 135, tries 895,953 rows in one round-3 call
+        assert krfactor.solver.DEFAULT_NODE_BUDGET > 895_953
 
 
 def _relabel(g, allowed):
