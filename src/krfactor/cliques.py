@@ -5,13 +5,15 @@ reported as ascending id tuples, which (parts being contiguous ascending
 ranges) is the same as ascending part order, and enumeration order is
 lexicographic.
 
-`_clique_rows` lists a whole family at once as an int array, by a
-breadth-first join over bool adjacency blocks; `_clique_stream` yields the
-same cliques lazily, one tuple at a time, and `_clique_count` only counts
-them. The two bitmask walks stay beside `_clique_rows`, whose fixed numpy
-cost loses on small hosts (2-core machine, Python 3.11): a weight-balancing
-reduced graph streams in 2-37 µs against 25-58 µs as rows, and a janson-report
-Monte Carlo count (n = 30, p = 0.7) takes 274 µs against 475 µs as rows.
+There is one array join and one bitmask walk. `_clique_rows` lists a family
+as an int array, by a breadth-first join over bool adjacency blocks. `_walk`
+goes depth first on bitmasks and hands each partial clique, with its
+extensions in the last part as one mask, to a visitor; round 1's cheapest
+clique, round 2's weight search and the survival count read the tree
+through it. The walk stays because the join's fixed numpy cost loses on
+small hosts (2-core machine, Python 3.11): weight balancing's reduced graphs
+(r 2-4, k 2-5) take 5-78 µs walked against 27-90 µs as rows, and a
+janson-report Monte Carlo count (n = 30, p = 0.7) 183 µs against 448 µs.
 """
 
 from __future__ import annotations
@@ -28,44 +30,41 @@ from .graphs import PartiteGraph
 _JOIN_CELLS = 1 << 18  # candidate cells (partial cliques x next-part vertices) per join block
 
 
-def _clique_stream(g: PartiteGraph, allowed):
-    """Yield transversal cliques lexicographically; allowed[i] restricts part i."""
-    r = g.r
-    adj = g.adj
-    members = [0] * r
+def _walk(adj, common, masks, visit) -> bool:
+    """Depth-first walk over one vertex from each of masks[:-1], inside `common`.
 
-    def rec(depth: int, common: int):
-        cand = common & allowed[depth]
-        if depth == r - 1:
-            for v in bit_indices(cand):
-                members[depth] = v
-                yield tuple(members)
-            return
-        for v in bit_indices(cand):
-            members[depth] = v
-            yield from rec(depth + 1, common & adj[v])
+    Partial cliques come in lexicographic order; each is passed on as
+    `visit(prefix, ext)`, where `ext` masks its common neighbours in
+    masks[-1]. `prefix` is one list reused for the whole walk, so it is valid
+    only during the call. The walk stops, returning True, as soon as a visit
+    returns True.
+    """
+    last = len(masks) - 1
+    prefix = [0] * last
+    end = masks[-1]
 
-    return rec(0, (1 << g.vertex_count) - 1)
+    def rec(d: int, common: int) -> bool:
+        for v in bit_indices(common & masks[d]):
+            prefix[d] = v
+            if d + 1 == last:  # a whole prefix goes to visit with no further call
+                if visit(prefix, common & adj[v] & end):
+                    return True
+            elif rec(d + 1, common & adj[v]):
+                return True
+        return False
+
+    return rec(0, common) if last else bool(visit(prefix, common & end))
 
 
 def _clique_count(g: PartiteGraph) -> int:
-    """Number of transversal cliques of g: `_clique_stream`'s tree over the
-    whole parts, with a popcount in place of the last part's loop."""
-    adj = g.adj
-    parts = g.part_masks
-    last = g.r - 1
-
-    def rec(depth: int, common: int) -> int:
-        cand = common & parts[depth]
-        if depth == last:
-            return cand.bit_count()
-        return sum(rec(depth + 1, common & adj[v]) for v in bit_indices(cand))
-
-    return rec(0, (1 << g.vertex_count) - 1)
+    """Number of transversal cliques of g: a popcount per walked prefix."""
+    counts: list[int] = []
+    _walk(g.adj, (1 << g.vertex_count) - 1, g.part_masks, lambda _, ext: counts.append(ext.bit_count()))
+    return sum(counts)
 
 
 def _clique_rows(g: PartiteGraph, allowed, limit: int | None) -> np.ndarray:
-    """`_clique_stream`'s cliques as the rows of an int array, in the same order.
+    """The cliques with part i inside allowed[i], in order, as int array rows.
 
     Partial cliques on parts 0..d-1 extend to part d through the rows of a
     bool matrix holding adjacency among the allowed vertices only. Each join

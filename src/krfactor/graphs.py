@@ -196,6 +196,8 @@ def threshold_p(params: ThresholdParams) -> ThresholdResult:
         raise ValueError("need n >= 1")
     if c < 0:
         raise ValueError("C must be nonnegative")
+    if not math.isfinite(c):
+        raise ValueError("C must be finite")
     raw = c * n ** (-2.0 / r) * math.log(n) ** (1.0 / math.comb(r, 2))
     if raw > 1.0:
         return ThresholdResult(1.0, True)
@@ -223,6 +225,8 @@ def gen_min_degree_instance(
         raise ValueError("edge_keep must lie in (0, 1]")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    if not math.isfinite(gamma):
+        raise ValueError("gamma must be finite")
     floor = fceil((1.0 - 1.0 / r + gamma) * n)
     if floor > n:
         raise ValueError(f"gamma={gamma} infeasible: degree floor {floor} exceeds part size {n}")

@@ -23,11 +23,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._num import bit_indices, ffloor, mask_of, unpack
-from .cliques import _clique_rows, _clique_stream, check_clique
+from .cliques import _clique_rows, _walk, check_clique
 from .errors import BalanceError, BalanceTuplesError, BudgetExceededError, CoverError
 from .graphs import PartiteGraph, min_star_degree, split_rounds, sparsify
 from .regularity import PartitionedInstance, build_reduced_graph, residual_instance
-from .rng import as_seed, randbelow
+from .rng import as_seed
 from .solver import (
     DEFAULT_ROW_BUDGET,
     Tiling,
@@ -50,58 +50,51 @@ class CoverResult:
 def _cheapest_clique(g, gp, v, allowed, cap, levels):
     """Scan the first `cap` cliques of g through root v inside `allowed`, in order.
 
-    `levels` lists (load, mask) pairs by ascending load; a vertex in no mask
-    weighs inf. Returns the number of cliques scanned, how many of them have
-    a finite key (summed load), and the first of least finite key that is a
-    clique of gp, or None. The cliques are never listed: at the last free
-    part every extension of a prefix is one mask, and popcounts count it.
+    `levels` lists (load, mask) pairs by ascending load, with disjoint masks;
+    a vertex in no mask weighs inf. Returns the number of cliques scanned,
+    how many of them have a finite key (summed load), and the first of least
+    finite key that is a clique of gp, or None. The cliques are never listed:
+    `_walk` hands over each prefix with its extensions as one mask, which
+    popcounts count; the best extension is the lowest vertex in the least
+    loaded level the mask meets.
     """
     # the allowed vertices of every part but the root's, in part order, so
-    # a depth-first walk over them meets the cliques lexicographically
+    # the walk meets the cliques lexicographically
     free = [allowed & m for i, m in enumerate(g.part_masks) if i != g.part_of(v)]
+    load = [math.inf] * g.vertex_count
     finite = 0
-    for _, m in levels:
+    for lv, m in levels:
         finite |= m
+        for x in bit_indices(m):
+            load[x] = lv
     seen = survivors = 0
     best_key, best = math.inf, None
 
-    def walk(d, common, common_p, fin, key, prefix):
-        # common: common g-neighbours of the root and the prefix; common_p:
-        # the same in gp, 0 once the prefix is not a gp-clique with the root;
-        # fin: the finite-load vertices, 0 once the prefix's key is inf
+    def visit(prefix, ext):
         nonlocal seen, survivors, best_key, best
-        if d == len(free) - 1:
-            m = common & free[-1]
-            if m.bit_count() >= cap - seen:  # the cap ends inside m: keep its lowest bits
-                rest = m
-                for _ in range(cap - seen):
-                    rest &= rest - 1
-                m ^= rest
-            seen += m.bit_count()
-            m &= fin
-            survivors += m.bit_count()
-            m &= common_p
-            for load, lm in levels:
-                if m & lm:
-                    if key + load < best_key:  # ties keep the earlier clique
-                        low = m & lm & -(m & lm)
-                        best_key, best = key + load, prefix + (low.bit_length() - 1,)
+        if ext.bit_count() >= cap - seen:  # the cap ends inside ext: keep its lowest bits
+            rest = ext
+            for _ in range(cap - seen):
+                rest &= rest - 1
+            ext ^= rest
+        seen += ext.bit_count()
+        key = sum(load[x] for x in prefix)
+        if key < math.inf:
+            ext &= finite
+            survivors += ext.bit_count()
+            common_p = gp.adj[v]  # common gp-neighbours, 0 once the prefix is no gp-clique
+            for x in prefix:
+                common_p = common_p & gp.adj[x] if common_p >> x & 1 else 0
+            ext &= common_p
+            for lv, lm in levels:
+                if ext & lm:
+                    if key + lv < best_key:  # ties keep the earlier clique
+                        low = ext & lm & -(ext & lm)
+                        best_key, best = key + lv, (*prefix, low.bit_length() - 1)
                     break
-            return seen == cap
-        for x in bit_indices(common & free[d]):
-            load = next((lv for lv, lm in levels if lm >> x & 1), 0)
-            if walk(
-                d + 1,
-                common & g.adj[x],
-                common_p & gp.adj[x] if common_p >> x & 1 else 0,
-                fin if fin >> x & 1 else 0,
-                key + load,
-                prefix + (x,),
-            ):
-                return True
-        return False
+        return seen == cap
 
-    walk(0, g.adj[v], gp.adj[v], finite, 0, ())
+    _walk(g.adj, g.adj[v], free, visit)
     return seen, survivors, None if best is None else tuple(sorted(best + (v,)))
 
 
@@ -130,7 +123,8 @@ def cover_exceptional(
     quota level it meets (see `_cheapest_clique`). A quota set whose usage
     exceeds 4*r*mu*|X_s| - 1 takes no further cliques (slightly stricter
     than the exact threshold when it is fractional), which caps final usage
-    at 4*r*mu*|X_s| + r - 2.
+    at 4*r*mu*|X_s| + r - 2. A mu that is not positive, or that makes the
+    candidate cap infinite, raises ValueError.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -169,7 +163,10 @@ def cover_exceptional(
         thresholds.append(4 * g.r * mu * m.bit_count())
     bigN = allowed.bit_count()
     warnings: list[str] = []
-    cap = ffloor(mu * bigN ** (g.r - 1))
+    cap = mu * bigN ** (g.r - 1)
+    if not math.isfinite(cap):
+        raise ValueError("mu must keep the candidate cap mu * N^(r-1) finite")
+    cap = ffloor(cap)
     if cap < 1:
         warnings.append(f"candidate cap {cap} < 1; clamped to 1")
         cap = 1
@@ -240,8 +237,13 @@ def _realize(reduced: PartiteGraph, lam, max_rows: int):
     BudgetExceededError. Returns None when no such multiset exists.
     """
     at: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(reduced.n)]
-    for K in _clique_stream(reduced, reduced.part_masks):
-        at[K[0]].append((K, mask_of(K)))
+
+    def visit(prefix, ext):
+        group, pm = at[prefix[0]], mask_of(prefix)
+        for x in bit_indices(ext):
+            group.append(((*prefix, x), pm | 1 << x))
+
+    _walk(reduced.adj, (1 << reduced.vertex_count) - 1, reduced.part_masks, visit)
     left = list(lam)
     dead = mask_of(v for v, x in enumerate(left) if not x)  # vertices with no lam left
     failed: set[tuple[int, ...]] = set()
@@ -394,7 +396,7 @@ def balance_tuples(
         cand = _clique_rows(g_round, [avail[K[i]] & ~used for i in range(r)], DEFAULT_ROW_BUDGET)
         picks = []
         while len(cand) and len(picks) < need:
-            pick = cand[randbelow(gen, len(cand))]
+            pick = cand[int(gen.integers(0, len(cand)))]
             picks.append(tuple(pick.tolist()))
             cand = cand[(cand != pick).all(axis=1)]
         if len(picks) < need:
@@ -497,12 +499,17 @@ def run_pipeline(
     vertex, up to RESERVE_ATTEMPTS times. The returned report carries
     per-stage diagnostics, the failing stage (if any), and on success the
     factor, verified in the union of the three rounds' sparsifications.
-    Out-of-range mu or alpha raise ValueError before any draw.
+    Out-of-range mu or alpha raise ValueError before any draw, except a mu
+    so large that round 1's candidate cap overflows, which round 1 rejects.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
+    if not math.isfinite(mu):
+        raise ValueError("mu must be finite")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     g = instance.host
     r, n, k = g.r, g.n, instance.k
     gamma = instance.params.gamma

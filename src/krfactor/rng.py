@@ -56,19 +56,3 @@ def as_seed(seed: RandomSeed | int) -> RandomSeed:
         return RandomSeed(int(seed))
     raise TypeError(f"expected RandomSeed or int, got {type(seed).__name__}")
 
-
-def randbelow(gen: np.random.Generator, n: int) -> int:
-    """Uniform integer in [0, n), valid for arbitrarily large n."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if n <= 1 << 63:
-        return int(gen.integers(0, n))
-    bits = n.bit_length()
-    words = (bits + 63) // 64
-    while True:  # rejection sampling on the top chunk keeps it exactly uniform
-        x = 0
-        for w in gen.integers(0, 1 << 64, size=words, dtype=np.uint64):
-            x = (x << 64) | int(w)
-        x >>= words * 64 - bits
-        if x < n:
-            return x

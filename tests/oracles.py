@@ -9,10 +9,14 @@ import math
 from itertools import combinations, product
 
 
-def brute_cliques(g):
-    """All one-vertex-per-part cliques, ascending tuples, by direct product scan."""
+def brute_cliques(g, allowed=None):
+    """All one-vertex-per-part cliques, ascending tuples, by direct product scan;
+    allowed[i], if given, restricts part i."""
+    parts = [g.part_range(i) for i in range(g.r)]
+    if allowed is not None:
+        parts = [[v for v in part if allowed[i] >> v & 1] for i, part in enumerate(parts)]
     out = []
-    for combo in product(*(g.part_range(i) for i in range(g.r))):
+    for combo in product(*parts):
         if all(g.has_edge(a, b) for a, b in combinations(combo, 2)):
             out.append(tuple(combo))
     return out
@@ -295,10 +299,10 @@ def ref_cover_exceptional(g, roots, mu, quotas, seed, *, p=1.0, allowed=None, tr
     two finite loads).
     """
     import math
-    from itertools import combinations, islice
+    from itertools import combinations
 
     from krfactor._num import bit_indices, ffloor, mask_of
-    from krfactor.cliques import _clique_stream
+    from krfactor.cliques import _clique_list
     from krfactor.errors import CoverError
     from krfactor.graphs import sparsify
     from krfactor.pipeline import CoverResult
@@ -361,7 +365,7 @@ def ref_cover_exceptional(g, roots, mu, quotas, seed, *, p=1.0, allowed=None, tr
     for idx, v in enumerate(roots):
         part_allowed = [allowed & g.part_mask(i) for i in range(g.r)]
         part_allowed[g.part_of(v)] = 1 << v
-        more = list(islice(_clique_stream(g, part_allowed), cap + 1))
+        more = _clique_list(g, part_allowed, None)[: cap + 1]
         cand = more[:cap]
         if len(cand) < cap:
             warnings.append(f"root {v}: only {len(cand)} candidates (cap {cap})")
@@ -415,18 +419,16 @@ def ref_cover_exceptional(g, roots, mu, quotas, seed, *, p=1.0, allowed=None, tr
 def ref_build_cover(g, allowed, limit):
     """`solver._build_cover` row by row: (engine, clique tuples) or None.
 
-    An earlier implementation of the package, line for line: it lists the
-    cliques lazily, ORs their masks to check coverage, sorts them by the key
-    (degree sum, clique) and hands each row to `ExactCover.add_row`.
+    An earlier implementation of the package, line for line, except that
+    the cliques come from `brute_cliques`' product scan: it ORs their masks
+    to check coverage, sorts them by the key (degree sum, clique) and hands
+    each row to `ExactCover.add_row`.
     """
-    from itertools import islice
-
     from krfactor._num import bit_indices, mask_of
-    from krfactor.cliques import _clique_stream
     from krfactor.errors import BudgetExceededError
     from krfactor.exact_cover import ExactCover
 
-    rows = list(islice(_clique_stream(g, allowed), limit + 1))
+    rows = brute_cliques(g, allowed)
     if len(rows) > limit:
         raise BudgetExceededError(f"more than {limit} transversal cliques")
     target = 0
@@ -510,7 +512,7 @@ def ref_balance_tuples(g_round, instance, omega, target, seed):
     from krfactor._num import mask_of
     from krfactor.cliques import _clique_list
     from krfactor.errors import BalanceTuplesError
-    from krfactor.rng import as_seed, randbelow
+    from krfactor.rng import as_seed
     from krfactor.solver import Tiling
 
     if target < 0:
@@ -562,7 +564,7 @@ def ref_balance_tuples(g_round, instance, omega, target, seed):
         live = range(len(cand))
         picks = []
         while live and len(picks) < need:
-            i = live[randbelow(gen, len(live))]
+            i = live[int(gen.integers(0, len(live)))]
             picks.append(i)
             live = [j for j in live if not cmasks[j] & cmasks[i]]
         if len(picks) < need:

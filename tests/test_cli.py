@@ -129,6 +129,8 @@ class TestThresholdSweep:
             ["threshold-sweep", "--n", "6", "--trials", "2", "--c-grid", ","],
             ["threshold-sweep", "--n", "6", "--trials", "2", "--p-grid", "1.5"],
             ["threshold-sweep", "--n", "x", "--trials", "2"],
+            ["threshold-sweep", "--n", "6", "--trials", "2", "--c-grid", "inf"],
+            ["threshold-sweep", "--n", "6", "--trials", "2", "--gamma", "inf"],
         ],
     )
     def test_bad_inputs_exit_2(self, argv, capsys):
@@ -410,8 +412,16 @@ class TestPipelineRun:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--mu", "0", "mu must be positive"), ("--alpha", "-1", "alpha must be nonnegative")],
-        ids=["mu", "alpha"],
+        [
+            ("--mu", "0", "mu must be positive"),
+            ("--alpha", "-1", "alpha must be nonnegative"),
+            ("--mu", "inf", "mu must be finite"),
+            ("--mu", "nan", "mu must be finite"),
+            ("--mu", "1e308", "mu must keep the candidate cap mu * N^(r-1) finite"),
+            ("--alpha", "nan", "alpha must be finite"),
+            ("--alpha", "inf", "alpha must be finite"),
+        ],
+        ids=["mu", "alpha", "mu-inf", "mu-nan", "mu-huge", "alpha-nan", "alpha-inf"],
     )
     def test_out_of_range_mu_alpha_exit_2(self, flag, value, message, capsys):
         code, out, err = run_cli(

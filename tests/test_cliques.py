@@ -14,8 +14,8 @@ from krfactor import (
     enumerate_kr,
     sparsify,
 )
-from krfactor._num import mask_of
-from krfactor.cliques import _clique_count, _clique_list, _clique_rows
+from krfactor._num import bit_indices, mask_of
+from krfactor.cliques import _clique_count, _clique_list, _clique_rows, _walk
 from oracles import brute_cliques
 
 
@@ -50,6 +50,7 @@ def test_count_matches_surviving_family_cliques(seed, keep, r, n):
     # janson-report's Monte Carlo count: the cliques of g that survive in G(p)
     g = sparsify(PartiteGraph.complete(r, n), keep, seed)
     family = enumerate_kr(g)
+    assert _clique_count(g) == len(family)
     for p in (0.0, 0.3, 0.7, 1.0):
         gp = sparsify(g, p, seed + 1)
         survivors = sum(
@@ -92,7 +93,7 @@ def test_rows_budget_boundary():
     rnd = random.Random(5)
     for _ in range(20):
         allowed = _random_allowed(g, rnd)
-        count = len(list(krfactor.cliques._clique_stream(g, allowed)))
+        count = len(brute_cliques(g, allowed))
         for cells in (1, krfactor.cliques._JOIN_CELLS):
             with mock.patch.object(krfactor.cliques, "_JOIN_CELLS", cells):
                 assert len(_clique_rows(g, allowed, count)) == count
@@ -100,6 +101,49 @@ def test_rows_budget_boundary():
                 if count:
                     with pytest.raises(BudgetExceededError, match=f"more than {count - 1} "):
                         _clique_rows(g, allowed, count - 1)
+
+
+def _walked(adj, common, masks, stop_at=None):
+    """The cliques `_walk` hands over, expanded from (prefix, ext) pairs, the
+    number of visits, and the walk's return value; the visit numbered
+    `stop_at` returns True."""
+    out, calls = [], 0
+
+    def visit(prefix, ext):
+        nonlocal calls
+        calls += 1
+        out.extend((*prefix, x) for x in bit_indices(ext))
+        return calls == stop_at
+
+    stopped = _walk(adj, common, masks, visit)
+    return out, calls, stopped
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.2, 1.0), st.integers(2, 5), st.integers(1, 8))
+def test_walk_meets_the_cliques_in_order(seed, p, r, n):
+    g = sparsify(PartiteGraph.complete(r, n), p, seed)
+    rnd = random.Random(seed)
+    allowed = _random_allowed(g, rnd)
+    got, _, stopped = _walked(g.adj, (1 << g.vertex_count) - 1, allowed)
+    assert got == _clique_list(g, allowed, None)
+    assert stopped is False
+    # anchored at a root: its neighbourhood is the start, its part is left out
+    v = rnd.randrange(g.vertex_count)
+    i = g.part_of(v)
+    got, _, _ = _walked(g.adj, g.adj[v], allowed[:i] + allowed[i + 1 :])
+    rooted = allowed[:i] + [1 << v] + allowed[i + 1 :]
+    assert [tuple(sorted(K + (v,))) for K in got] == _clique_list(g, rooted, None)
+
+
+def test_walk_stops_at_the_first_true_visit():
+    g = sparsify(PartiteGraph.complete(3, 4), 0.7, 2)
+    common = (1 << g.vertex_count) - 1
+    _, prefixes, stopped = _walked(g.adj, common, g.part_masks)
+    assert prefixes > 1 and stopped is False
+    for j in range(1, prefixes + 1):
+        _, calls, stopped = _walked(g.adj, common, g.part_masks, stop_at=j)
+        assert (calls, stopped) == (j, True)
 
 
 def test_enumerate_budget_guard():

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from krfactor import RandomSeed, as_seed
-from krfactor.rng import randbelow
 
 
 def test_same_seed_same_draws():
@@ -41,26 +38,3 @@ def test_as_seed_accepts_ints_and_passthrough():
     with pytest.raises(TypeError):
         as_seed("11")
 
-
-def test_randbelow_small_uniform():
-    gen = RandomSeed(1).generator()
-    counts = [0, 0, 0]
-    trials = 9000
-    for _ in range(trials):
-        counts[randbelow(gen, 3)] += 1
-    # 5 sigma around trials/3 with sigma = sqrt(n p (1-p))
-    band = 5 * (trials * (1 / 3) * (2 / 3)) ** 0.5
-    assert all(abs(c - trials / 3) <= band for c in counts)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=1 << 200), st.integers(min_value=0, max_value=999))
-def test_randbelow_in_range_for_big_ints(n, seed):
-    gen = RandomSeed(seed).generator()
-    assert 0 <= randbelow(gen, n) < n
-
-
-def test_randbelow_rejects_nonpositive():
-    gen = RandomSeed(0).generator()
-    with pytest.raises(ValueError):
-        randbelow(gen, 0)
