@@ -152,6 +152,13 @@ def _run_sweep(mode: str, args) -> tuple[dict, list[dict]]:
                 raise FileFormatError(f"p={p} outside [0, 1]")
     else:
         grid_kind, grid = "C", _parse_list(args.c_grid, "C grid")
+    # every point as (n, p, C or None), resolved before the first trial runs
+    if grid_kind == "C":
+        points = [
+            (n, threshold_p(ThresholdParams(args.r, n, c)).p, c) for n, c in product(n_list, grid)
+        ]
+    else:
+        points = [(n, p, None) for n, p in product(n_list, grid)]
     config = {
         "mode": mode,
         "r": args.r,
@@ -167,12 +174,7 @@ def _run_sweep(mode: str, args) -> tuple[dict, list[dict]]:
     trial_fn = _TRIALS[mode]
     rows = []
     with _trial_map(args.workers) as run_trials:
-        for point, (n, gval) in enumerate(product(n_list, grid)):
-            if grid_kind == "C":
-                p, _ = threshold_p(ThresholdParams(args.r, n, gval))
-                c_val = gval
-            else:
-                p, c_val = gval, None
+        for point, (n, p, c_val) in enumerate(points):
             tasks = [
                 (args.r, n, args.gamma, args.edge_keep, p)
                 + _trial_seed(args.seed, point, t)
@@ -324,6 +326,10 @@ def cmd_janson_report(args) -> int:
         raise FileFormatError(f"p={args.p} outside [0, 1]")
     if args.mc_trials < 0:
         raise FileFormatError("--mc-trials must be nonnegative")
+    deviations = _parse_list(args.deviations, "deviations")
+    bad = [a for a in deviations if not math.isfinite(a)]
+    if bad:
+        raise FileFormatError(f"--deviations must be finite, got {bad[0]}")
     g = read_graph_file(args.graph)
     family = enumerate_kr(g, max_cliques=args.max_cliques)
     lam, delta_bar = janson_lambda_delta(family, args.p)
@@ -334,7 +340,7 @@ def cmd_janson_report(args) -> int:
             "chernoff_upper": _bound_or_none(chernoff_bound, lam, a, "upper"),
             "chernoff_lower": _bound_or_none(chernoff_bound, lam, a, "lower"),
         }
-        for a in _parse_list(args.deviations, "deviations")
+        for a in deviations
     ]
     monte_carlo = None
     if args.mc_trials > 0:

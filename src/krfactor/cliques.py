@@ -5,15 +5,19 @@ reported as ascending id tuples, which (parts being contiguous ascending
 ranges) is the same as ascending part order, and enumeration order is
 lexicographic.
 
-There is one array join and one bitmask walk. `_clique_rows` lists a family
-as an int array, by a breadth-first join over bool adjacency blocks. `_walk`
-goes depth first on bitmasks and hands each partial clique, with its
-extensions in the last part as one mask, to a visitor; round 1's cheapest
-clique, round 2's weight search and the survival count read the tree
-through it. The walk stays because the join's fixed numpy cost loses on
-small hosts (2-core machine, Python 3.11): weight balancing's reduced graphs
-(r 2-4, k 2-5) take 5-78 µs walked against 27-90 µs as rows, and a
-janson-report Monte Carlo count (n = 30, p = 0.7) 183 µs against 448 µs.
+There is one restricted view, one array join and one bitmask walk.
+`_restrict` lists the vertices a search may use, part by part, with the bool
+adjacency among them; the join here and the staged matching and exact-cover
+build in `solver` all read that view. `_join` lists a view's cliques as an
+int array of local ids, by a breadth-first join over its blocks, and
+`_clique_rows` maps them to vertex ids. `_walk` goes depth first on
+bitmasks and hands each partial clique, with its extensions in the last
+part as one mask, to a visitor; round 1's cheapest clique, round 2's
+weight search and the survival count read the tree through it. The walk
+stays because the join's fixed numpy cost loses on small hosts (2-core
+machine, Python 3.11): weight balancing's reduced graphs (r 2-4, k 2-5)
+take 5-78 µs walked against 27-90 µs as rows, and a janson-report Monte
+Carlo count (n = 30, p = 0.7) 183 µs against 448 µs.
 """
 
 from __future__ import annotations
@@ -63,20 +67,26 @@ def _clique_count(g: PartiteGraph) -> int:
     return sum(counts)
 
 
-def _clique_rows(g: PartiteGraph, allowed, limit: int | None) -> np.ndarray:
-    """The cliques with part i inside allowed[i], in order, as int array rows.
+def _restrict(g: PartiteGraph, allowed) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices in `allowed` (allowed[i] inside part i), part by part and
+    ascending, and the bool adjacency matrix among them."""
+    width = g.vertex_count
+    verts = np.flatnonzero(unpack(allowed, width)) % width
+    return verts, unpack([g.adj[v] for v in verts.tolist()], width)[:, verts]
 
-    Partial cliques on parts 0..d-1 extend to part d through the rows of a
-    bool matrix holding adjacency among the allowed vertices only. Each join
-    takes at most _JOIN_CELLS candidate cells, so the partials are worked
-    through in blocks, depth first, and the rows stay lexicographic. More
-    than `limit` cliques (None: no limit) raise BudgetExceededError before
-    the surplus rows are built.
+
+def _join(adj: np.ndarray, sizes, limit: int | None) -> np.ndarray:
+    """The transversal cliques of the restricted view `adj`, whose parts are
+    runs of `sizes` rows, in lexicographic order as rows of local ids.
+
+    Partial cliques on parts 0..d-1 extend to part d through the rows of
+    `adj`. Each join takes at most _JOIN_CELLS candidate cells, so the
+    partials are worked through in blocks, depth first, and the rows stay
+    lexicographic. More than `limit` cliques (None: no limit) raise
+    BudgetExceededError before the surplus rows are built.
     """
-    r, width = g.r, g.vertex_count
-    verts = np.flatnonzero(unpack(allowed, width)) % width  # part by part, ascending
-    bounds = list(accumulate((m.bit_count() for m in allowed), initial=0))
-    adj = unpack([g.adj[v] for v in verts.tolist()], width)[:, verts]
+    r = len(sizes)
+    bounds = list(accumulate(sizes, initial=0))
     out: list[np.ndarray] = []
     total = 0
 
@@ -101,7 +111,14 @@ def _clique_rows(g: PartiteGraph, allowed, limit: int | None) -> np.ndarray:
             join(np.column_stack((block[at], lo + col)))
 
     join(np.arange(bounds[0], bounds[1])[:, None])
-    return verts[np.concatenate(out) if out else np.empty((0, r), np.intp)]
+    return np.concatenate(out) if out else np.empty((0, r), np.intp)
+
+
+def _clique_rows(g: PartiteGraph, allowed, limit: int | None) -> np.ndarray:
+    """The cliques with part i inside allowed[i], in order, as int array rows;
+    past `limit` (None: no limit) raises BudgetExceededError."""
+    verts, adj = _restrict(g, allowed)
+    return verts[_join(adj, [m.bit_count() for m in allowed], limit)]
 
 
 def _clique_list(g: PartiteGraph, allowed, limit: int | None) -> list[tuple[int, ...]]:

@@ -1,10 +1,10 @@
 """Exact cover by Algorithm X over plain arrays, with an explicit stack.
 
 Columns are integers 0..n_cols-1. Rows come in bulk, as the lines of an int
-array of column ids passed to the constructor (`rows=`), which become rows
-0, 1, ... with those numbers as their ids; or one at a time through
-`add_row`, as an iterable of column ids with an opaque row id. The engine
-keeps, per row, its column list and, per column, its rows in insertion
+array of column ids passed to the constructor (`rows=`), or one at a time
+through `add_row`, as an iterable of column ids; either way a row's number
+is its position, 0, 1, ..., and solutions are tuples of row numbers. The
+engine keeps, per row, its column list and, per column, its rows in insertion
 order. A search keeps a live flag per row, a live-row count per column and
 one frame per depth: the candidate rows, the next one to try and the rows
 that the current choice removed. Depth is bounded by memory, not by
@@ -30,15 +30,13 @@ from .errors import BudgetExceededError
 
 class ExactCover:
     """Exact cover over n_cols columns; `rows`, an (N, w) int array of column
-    ids with w >= 1, becomes rows 0..N-1 with ids 0..N-1, as if added in
-    order by `add_row`."""
+    ids with w >= 1, becomes rows 0..N-1, as if added in order by `add_row`."""
 
     def __init__(self, n_cols: int, rows=None):
         if n_cols < 0:
             raise ValueError("n_cols must be nonnegative")
         self.col_rows: list[list[int]] = [[] for _ in range(n_cols)]
         self.row_cols: list[list[int]] = []
-        self.row_ids: list = []
         self.nodes = 0
         if rows is None:
             return
@@ -54,10 +52,10 @@ class ExactCover:
         owners = (order // rows.shape[1]).tolist()
         self.col_rows = [owners[a:b] for a, b in zip([0] + ends, ends)]
         self.row_cols = rows.tolist()
-        self.row_ids = list(range(len(rows)))
 
-    # kept for bench/tracing.py, which wraps it, and tests/oracles.ref_build_cover
-    def add_row(self, row_id, col_ids) -> None:
+    # appends the next row, numbered by its position; the package passes its
+    # rows in bulk, and tests/oracles.ref_build_cover and bench/tracing.py use this
+    def add_row(self, col_ids) -> None:
         cols = list(col_ids)
         if not cols:
             raise ValueError("rows must touch at least one column")
@@ -65,10 +63,9 @@ class ExactCover:
         for c in cols:
             self.col_rows[c].append(row)
         self.row_cols.append(cols)
-        self.row_ids.append(row_id)
 
     def solutions(self, max_nodes: int | None = None):
-        """Yield every exact cover as a tuple of row ids, in the order above;
+        """Yield every exact cover as a tuple of row numbers, in the order above;
         past `max_nodes` rows tried (None: no limit) raise BudgetExceededError."""
         col_rows, row_cols = self.col_rows, self.row_cols
         limit = float("inf") if max_nodes is None else max_nodes
@@ -83,7 +80,7 @@ class ExactCover:
             low = min(size)
             if low >= covered:
                 self.nodes = nodes
-                yield tuple(self.row_ids[cands[k - 1]] for cands, k, _ in stack)
+                yield tuple(cands[k - 1] for cands, k, _ in stack)
             elif low:
                 best = size.index(low)
                 stack.append([[i for i in col_rows[best] if live[i]], 0, []])
@@ -118,11 +115,3 @@ class ExactCover:
             else:
                 self.nodes = nodes
                 return
-
-    def first_solution(self, max_nodes: int | None = None):
-        for sol in self.solutions(max_nodes):
-            return sol
-        return None
-
-    def count_solutions(self) -> int:
-        return sum(1 for _ in self.solutions())

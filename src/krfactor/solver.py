@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._num import bit_indices, mask_of, stable_argsort, unpack
-from .cliques import _JOIN_CELLS, _clique_rows, check_clique
+from ._num import bit_indices, mask_of, stable_argsort
+from .cliques import _join, _restrict, check_clique
 from .errors import BudgetExceededError
 from .exact_cover import ExactCover
 from .graphs import PartiteGraph, _read_lines
@@ -74,27 +74,18 @@ def _matching_cover(g: PartiteGraph, allowed):
     """
     if len({m.bit_count() for m in allowed}) > 1:
         return None
-    r, size, width = g.r, allowed[0].bit_count(), g.vertex_count
+    r, size = g.r, allowed[0].bit_count()
     if not size:
         return []
-    verts = np.nonzero(unpack(allowed, width))[1].reshape(r, size)
+    verts, adj = _restrict(g, allowed)
+    verts = verts.reshape(r, size)
     # bits[t - 1, s * size + i]: the allowed part-t vertices that allowed
-    # part-s vertex i sees (s < t), as uint64 words. Masks shifted past part
-    # 0 span `cols` bits; they are unpacked _JOIN_CELLS cells at a time with
-    # one column more, which is always 0 and pads each part to whole words.
-    src, cols = verts[:-1].ravel().tolist(), width - g.n
-    dst = np.full((r - 1, -(-size // 64) * 64), cols)
-    dst[:, :size] = verts[1:] - g.n
-    step = max(1, _JOIN_CELLS // cols)
-    packed = [
-        np.packbits(
-            unpack([g.adj[v] >> g.n for v in src[a : a + step]], cols + 1)[:, dst],
-            axis=-1,
-            bitorder="little",
-        )
-        for a in range(0, len(src), step)
-    ]
-    bits = np.concatenate(packed).transpose(1, 0, 2).copy().view(np.uint64)
+    # part-s vertex i sees (s < t), as uint64 words. The view's blocks are
+    # copied into zeros that pad each part to whole words.
+    span = (r - 1) * size
+    padded = np.zeros((r - 1, span, -(-size // 64) * 64), bool)
+    padded[:, :, :size] = adj[:span, size:].reshape(span, r - 1, size).transpose(1, 0, 2)
+    bits = np.packbits(padded, axis=-1, bitorder="little").view(np.uint64)
     common = bits[:, :size]  # common[t - s, i]: the part-t vertices partial i sees
     ids = np.arange(size)
     picks = [ids]
@@ -149,20 +140,14 @@ def _build_cover(g: PartiteGraph, allowed):
     cliques ordered by their vertices' degree sum, ties lexicographic: near-
     uniform instances branch better when scarce rows come first.
     """
-    rows = _clique_rows(g, allowed, DEFAULT_ROW_BUDGET)
-    target = 0
-    for m in allowed:
-        target |= m
-    verts = np.flatnonzero(unpack([target], g.vertex_count))
-    col_of = np.full(g.vertex_count, -1, np.intp)
-    col_of[verts] = np.arange(len(verts))
-    cols = col_of[rows]
+    verts, adj = _restrict(g, allowed)
+    cols = _join(adj, [m.bit_count() for m in allowed], DEFAULT_ROW_BUDGET)
     if np.count_nonzero(np.bincount(cols.ravel(), minlength=len(verts))) < len(verts):
         return None
     deg = np.array([g.adj[v].bit_count() for v in verts.tolist()], np.int64)
     # the rows are lexicographic, so a stable sort keeps ties in that order
-    order = stable_argsort(deg[cols].sum(axis=1))
-    return ExactCover(len(verts), rows=cols[order]), rows[order]
+    cols = cols[stable_argsort(deg[cols].sum(axis=1))]
+    return ExactCover(len(verts), rows=cols), verts[cols]
 
 
 def _first_cover(g: PartiteGraph, allowed):
@@ -177,7 +162,7 @@ def _first_cover(g: PartiteGraph, allowed):
     if built is None:
         return None
     dlx, rows = built
-    sol = dlx.first_solution(DEFAULT_NODE_BUDGET)
+    sol = next(dlx.solutions(DEFAULT_NODE_BUDGET), None)
     if sol is None:
         return None
     return tuple(sorted(map(tuple, rows[list(sol)].tolist())))
@@ -214,7 +199,7 @@ def count_factors(g: PartiteGraph) -> int:
     if built is None:
         return 0
     dlx, _ = built
-    return dlx.count_solutions()
+    return sum(1 for _ in dlx.solutions())
 
 
 @dataclass(frozen=True)

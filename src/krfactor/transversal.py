@@ -282,7 +282,7 @@ def transversal_oracle(family: GraphFamily):
     dlx = ExactCover(
         total + m, rows=[list(K) + sorted(total + t for t in combo) for K, combo in rows]
     )
-    sol = dlx.first_solution()
+    sol = next(dlx.solutions(), None)
     if sol is None:
         return None
     cliques = []

@@ -443,8 +443,8 @@ def ref_build_cover(g, allowed, limit):
     deg = [g.degree(v) for v in range(g.vertex_count)]
     rows.sort(key=lambda K: (sum(deg[v] for v in K), K))
     dlx = ExactCover(len(col_of))
-    for idx, K in enumerate(rows):
-        dlx.add_row(idx, [col_of[v] for v in K])
+    for K in rows:
+        dlx.add_row([col_of[v] for v in K])
     return dlx, rows
 
 

@@ -131,12 +131,23 @@ class TestThresholdSweep:
             ["threshold-sweep", "--n", "x", "--trials", "2"],
             ["threshold-sweep", "--n", "6", "--trials", "2", "--c-grid", "inf"],
             ["threshold-sweep", "--n", "6", "--trials", "2", "--gamma", "inf"],
+            ["threshold-sweep", "--n", "30", "--trials", "300", "--c-grid", "3,inf"],
         ],
     )
     def test_bad_inputs_exit_2(self, argv, capsys):
         code, _, err = run_cli(argv, capsys)
         assert code == 2
         assert err.startswith("error:")
+
+    def test_bad_grid_point_stops_before_any_trial(self, capsys, monkeypatch):
+        def no_trial(task):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setitem(krfactor.cli._TRIALS, "threshold", no_trial)
+        code, out, err = run_cli(
+            ["threshold-sweep", "--n", "30", "--trials", "300", "--c-grid", "3,inf"], capsys
+        )
+        assert (code, out, err) == (2, "", "error: C must be finite\n")
 
     def test_workers_above_cpu_count_exit_2_before_any_pool(self, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -321,6 +332,18 @@ class TestJansonReport:
         assert code == 2
         assert out == ""
         assert err == "error: max_cliques must be nonnegative\n"
+
+    @pytest.mark.parametrize("deviations", ["nan", "inf", "0.25,-inf"])
+    def test_non_finite_deviations_exit_2(self, capsys, k222_path, deviations):
+        code, out, err = run_cli(
+            ["janson-report", "--graph", k222_path, "--p", "0.5",
+             "--deviations", deviations, "--mc-trials", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--deviations" in err
+        assert "Traceback" not in err
 
     def test_missing_graph_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -15,7 +15,7 @@ from krfactor import (
     sparsify,
 )
 from krfactor._num import bit_indices, mask_of
-from krfactor.cliques import _clique_count, _clique_list, _clique_rows, _walk
+from krfactor.cliques import _clique_count, _clique_list, _clique_rows, _restrict, _walk
 from oracles import brute_cliques
 
 
@@ -66,6 +66,18 @@ def _random_allowed(g, rnd):
     if rnd.random() < 0.2:
         allowed[rnd.randrange(g.r)] = 0
     return allowed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.2, 1.0), st.sampled_from([2, 3, 4]), st.integers(1, 9))
+def test_restricted_view_lists_allowed_vertices_and_their_edges(seed, p, r, n):
+    g = sparsify(PartiteGraph.complete(r, n), p, seed)
+    for allowed in (_random_allowed(g, random.Random(seed)), [0] * r):
+        verts, adj = _restrict(g, allowed)
+        # part by part, ascending within each part
+        assert verts.tolist() == [v for m in allowed for v in bit_indices(m)]
+        assert adj.dtype == bool and adj.shape == (len(verts), len(verts))
+        assert adj.tolist() == [[g.has_edge(u, v) for v in verts.tolist()] for u in verts.tolist()]
 
 
 @settings(max_examples=60, deadline=None)

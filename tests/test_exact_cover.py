@@ -22,13 +22,12 @@ def _random_instance(rng):
 def test_solution_stream_matches_reference(seed):
     n_cols, rows = _random_instance(random.Random(seed))
     ec = ExactCover(n_cols)
-    for i, cols in enumerate(rows):
-        ec.add_row(f"row{i}", cols)
-    expected = [tuple(f"row{i}" for i in sol) for sol in brute_exact_covers(n_cols, rows)]
+    for cols in rows:
+        ec.add_row(cols)
+    expected = list(brute_exact_covers(n_cols, rows))
     assert list(ec.solutions()) == expected
     assert list(ec.solutions()) == expected  # a finished search leaves no trace
-    assert ec.count_solutions() == len(expected)
-    assert ec.first_solution() == (expected[0] if expected else None)
+    assert next(ec.solutions(), None) == (expected[0] if expected else None)
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -39,9 +38,9 @@ def test_bulk_rows_match_rows_added_one_at_a_time(seed):
     rows = [rng.sample(range(n_cols), width) for _ in range(rng.randint(0, 25))]
     bulk = ExactCover(n_cols, rows=np.array(rows, dtype=int).reshape(len(rows), width))
     ec = ExactCover(n_cols)
-    for i, cols in enumerate(rows):
-        ec.add_row(i, cols)
-    assert (bulk.col_rows, bulk.row_cols, bulk.row_ids) == (ec.col_rows, ec.row_cols, ec.row_ids)
+    for cols in rows:
+        ec.add_row(cols)
+    assert (bulk.col_rows, bulk.row_cols) == (ec.col_rows, ec.row_cols)
     assert list(bulk.solutions()) == list(brute_exact_covers(n_cols, rows))
 
 
@@ -49,18 +48,18 @@ def test_bulk_rows_match_rows_added_one_at_a_time(seed):
 def test_node_budget_stops_at_the_count(seed):
     n_cols, rows = _random_instance(random.Random(seed))
     ec = ExactCover(n_cols)
-    for i, cols in enumerate(rows):
-        ec.add_row(i, cols)
-    first = ec.first_solution()
+    for cols in rows:
+        ec.add_row(cols)
+    first = next(ec.solutions(), None)
     nodes = ec.nodes
-    assert ec.first_solution(max_nodes=nodes) == first and ec.nodes == nodes
+    assert next(ec.solutions(max_nodes=nodes), None) == first and ec.nodes == nodes
     every = list(ec.solutions())
     total = ec.nodes
     assert total >= nodes
     assert list(ec.solutions(max_nodes=total)) == every
     if nodes:
         with pytest.raises(BudgetExceededError, match=f"more than {nodes - 1} search nodes"):
-            ec.first_solution(max_nodes=nodes - 1)
+            next(ec.solutions(max_nodes=nodes - 1), None)
         assert ec.nodes == nodes - 1
 
 
@@ -70,21 +69,21 @@ def test_no_columns_has_one_empty_cover():
 
 def test_no_rows_has_no_cover():
     assert list(ExactCover(3).solutions()) == []
-    assert ExactCover(3).first_solution() is None
+    assert next(ExactCover(3).solutions(), None) is None
 
 
 def test_count_limit():
     ec = ExactCover(2)
-    for i, cols in enumerate([[0], [1], [0, 1], [1], [0]]):
-        ec.add_row(i, cols)
-    assert ec.count_solutions() == 5
+    for cols in [[0], [1], [0, 1], [1], [0]]:
+        ec.add_row(cols)
+    assert sum(1 for _ in ec.solutions()) == 5
 
 
 def test_depth_beyond_recursion_limit():
     n = sys.getrecursionlimit() + 500
     ec = ExactCover(n)
     for c in range(n):
-        ec.add_row(c, [c])
+        ec.add_row([c])
     assert list(ec.solutions()) == [tuple(range(n))]
 
 
@@ -92,7 +91,7 @@ def test_rejects_bad_shapes():
     with pytest.raises(ValueError):
         ExactCover(-1)
     with pytest.raises(ValueError):
-        ExactCover(3).add_row(0, [])
+        ExactCover(3).add_row([])
     for rows in ([0, 1], [[]], [[0, 3]], [[-1, 2]]):
         with pytest.raises(ValueError):
             ExactCover(3, rows=rows)

@@ -151,7 +151,6 @@ class TestFindFactor:
             (dlx, rows), (ref_dlx, ref_rows) = built, ref
             assert dlx.col_rows == ref_dlx.col_rows
             assert dlx.row_cols == ref_dlx.row_cols
-            assert dlx.row_ids == ref_dlx.row_ids
             assert rows.tolist() == [list(K) for K in ref_rows]
         assert 0 < hopeless < len(cases)
 
@@ -203,6 +202,18 @@ class TestMatchingCover:
         # unequal sizes, all-empty masks, and equal sizes both found and missed
         assert {(True, False, True), (False, True, False)} <= set(answers)
         assert answers[False, False, False] > 50 and answers[False, False, True] > 50
+        # parts one bit short of, exactly on and one bit past whole uint64
+        # words, as whole parts (n = size) and as equal-size subsets
+        missed = Counter()
+        for size in (63, 64, 65, 128):
+            for r in (2, 3, 4):
+                for n in (size, size + 9):
+                    g = sparsify(PartiteGraph.complete(r, n), rnd.uniform(0.2, 0.6), rnd.randrange(1 << 30))
+                    allowed = [mask_of(rnd.sample(g.part_range(i), size)) for i in range(r)]
+                    got = _matching_cover(g, allowed)
+                    assert got == ref_matching_cover(g, allowed), (size, r, n)
+                    missed[got is None] += 1
+        assert missed[False] > 5 and missed[True] > 2
 
     def test_threshold_sweep_calls(self):
         # every call that 40 rounds of threshold-sweep trials make at n = 30
@@ -249,7 +260,7 @@ class TestNodeBudget:
         g = sparsify(gen_min_degree_instance(3, 30, 0.2, 0.9, base.substream(0)), p, base.substream(1))
         assert _matching_cover(g, g.part_masks) is None
         dlx, _ = _build_cover(g, g.part_masks)
-        assert dlx.first_solution() is not None
+        assert next(dlx.solutions(), None) is not None
         return g, dlx.nodes
 
     def test_search_past_the_budget_raises(self, monkeypatch):
@@ -270,7 +281,7 @@ class TestNodeBudget:
         base = RandomSeed(5).substream(4)
         g = sparsify(gen_min_degree_instance(3, 30, 0.2, 0.9, base.substream(0)), p, base.substream(1))
         dlx, _ = _build_cover(g, g.part_masks)
-        assert dlx.first_solution() is None and dlx.nodes > 0
+        assert next(dlx.solutions(), None) is None and dlx.nodes > 0
         monkeypatch.setattr("krfactor.solver.DEFAULT_NODE_BUDGET", dlx.nodes)
         assert find_factor(g) is None
         monkeypatch.setattr("krfactor.solver.DEFAULT_NODE_BUDGET", dlx.nodes - 1)
